@@ -11,8 +11,7 @@ Subcommands:
 Every subcommand accepts --json for machine-readable output, --max-arity to
 cap the swept arities, and --seed for the randomized spot checks.  Exit
 status: 0 when every check passes, 1 when a check fails (the report then
-carries a witness), 2 on unusable input.  The front end itself is single
-threaded; worker counts for the sweeps are taken from NQFORGE_THREADS.
+carries a witness), 2 on unusable input.
 """
 
 from __future__ import annotations

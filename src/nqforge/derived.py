@@ -2,11 +2,13 @@
 commutators with contractions.
 
 The k-th bracket of sections X_1..X_k is the contraction-type part of
-[...[[q, i_{X_1}], i_{X_2}], ..., i_{X_k}], identified with a section again;
-since q's weight components sit between 0 and n and every contraction lowers
-the weight by one, the bracket vanishes identically as soon as k exceeds
-n+1.  The anchor action on a base polynomial is the contraction of the
-one-generator part of q(f).
+[...[[q, i_{X_1}], i_{X_2}], ..., i_{X_k}], identified with a section again.
+Commutators add homological weights and every contraction has weight -1, so
+that weight -1 part is exactly [...[q_{k-1}, i_{X_1}], ..., i_{X_k}], where
+q_{k-1} is the weight k-1 component of q; only that component is commuted.
+Since q's weight components sit between 0 and n, the bracket vanishes
+identically as soon as k exceeds n+1.  The anchor action on a base
+polynomial is the contraction of the one-generator part of q(f).
 
 Nothing here assumes q squares to zero; feeding a non-homological field
 through these functions is how the negative tests see the identities fail.
@@ -14,7 +16,7 @@ through these functions is how the negative tests see the identities fail.
 
 from __future__ import annotations
 
-from .polyring import Polynomial
+from .graded import Section
 from .superalg import (
     SuperFunction,
     extract_section,
@@ -33,15 +35,20 @@ class DerivedSetup:
             raise ValueError("field lives on a different graded manifold")
         self.bundle = bundle
         self.q = q
+        self._q_weights = q.homological_parts()
 
     def bracket(self, sections):
         """The k-th derived bracket of the given sections, as a Section.
 
-        Computes the iterated commutator with the contractions in argument
-        order, then keeps the weight minus-one part and reads it back as a
-        section.  Exactly zero for k > n+1.
+        Computes the iterated commutator of q's weight k-1 component with
+        the contractions in argument order; no other component reaches
+        weight -1.  Keeps the weight minus-one part and reads it back as a
+        section.  The zero section when q has no weight k-1 component, in
+        particular for k > n+1.
         """
-        current = self.q
+        current = self._q_weights.get(len(sections) - 1)
+        if current is None:
+            return Section(self.bundle, {})
         for sec in sections:
             current = current.commutator(interior_product(sec))
         return extract_section(current.homological_part(-1))

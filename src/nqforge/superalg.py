@@ -8,10 +8,10 @@ reorderings follow Koszul's rule in the standard degree.
 
 Derivations are stored by their images on the algebra generators (base
 coordinates and generators); no degree is stored.  Whenever a sign needs a
-degree, the derivation is split on the fly into standard-homogeneous parts,
-so inhomogeneous derivations (sums of parts of different degree) work
-throughout.  The homological weight counts generators; splitting by it gives
-the arity components of a vector field.
+degree, the derivation is split into standard-homogeneous parts, once per
+derivation, so inhomogeneous derivations (sums of parts of different degree)
+work throughout.  The homological weight counts generators; splitting by it
+gives the arity components of a vector field.
 
 The evaluation dictionary at the bottom identifies elements with polynomial
 coefficients with multilinear maps on frame sections; its sign convention
@@ -23,7 +23,6 @@ from __future__ import annotations
 from .polyring import Polynomial
 from .graded import GradedBundle, Section
 from .signs import evaluation_sign, interior_pairing_sign, sign_pow
-from .util import thread_map
 
 
 def _normal_order(labels, bundle):
@@ -279,12 +278,15 @@ class Derivation:
     images maps base coordinates and generator labels to SuperFunctions;
     missing entries mean zero.  Nothing homogeneous is assumed: apply and
     commutator split into standard-degree parts internally, so sums of
-    parts of different degrees are fine.
+    parts of different degrees are fine.  That split is computed once per
+    derivation and cached, so images must not be mutated after
+    construction; build a new Derivation instead.
     """
 
     def __init__(self, bundle, images=None):
         self.bundle = bundle
         self.images = {}
+        self._std_parts = None
         valid = set(bundle.base_coordinates) | set(bundle.label_index)
         if images:
             for name, img in images.items():
@@ -307,18 +309,22 @@ class Derivation:
         return 0
 
     def std_parts(self):
-        """Split into standard-homogeneous derivations: {l: part of degree l}."""
-        parts = {}
-        for name, img in self.images.items():
-            d = self._key_std(name)
-            for k, piece in img.std_parts().items():
-                parts.setdefault(k - d, {})[name] = (
-                    parts.get(k - d, {}).get(name, SuperFunction.zero(self.bundle))
-                    + piece
-                )
-        return {
-            l: Derivation(self.bundle, imgs) for l, imgs in sorted(parts.items())
-        }
+        """Split into standard-homogeneous derivations: {l: part of degree l}.
+
+        Computed on the first call and cached; each part is its own split.
+        Callers must not mutate the returned dict."""
+        if self._std_parts is None:
+            parts = {}
+            for name, img in self.images.items():
+                d = self._key_std(name)
+                for k, piece in img.std_parts().items():
+                    parts.setdefault(k - d, {})[name] = piece
+            self._std_parts = {}
+            for l, imgs in sorted(parts.items()):
+                part = Derivation(self.bundle, imgs)
+                part._std_parts = {l: part}
+                self._std_parts[l] = part
+        return self._std_parts
 
     def std_degree(self):
         degs = sorted(self.std_parts())
@@ -338,12 +344,7 @@ class Derivation:
         for name, img in self.images.items():
             base = 1 if name in self.bundle.label_index else 0
             for s_img, piece in img.homological_parts().items():
-                parts.setdefault(s_img - base, {})[name] = (
-                    parts.get(s_img - base, {}).get(
-                        name, SuperFunction.zero(self.bundle)
-                    )
-                    + piece
-                )
+                parts.setdefault(s_img - base, {})[name] = piece
         return {
             s: Derivation(self.bundle, imgs) for s, imgs in sorted(parts.items())
         }
@@ -529,20 +530,10 @@ def check_homological(q):
     canonical order together with the residual element.
     """
     bundle = q.bundle
-    names = list(bundle.base_coordinates) + bundle.labels()
-
-    def square(name):
-        return name, q.apply(q.image(name))
-
-    failures = []
-    for name, res in thread_map(square, names):
+    for name in list(bundle.base_coordinates) + bundle.labels():
+        res = q.apply(q.image(name))
         if not res.is_zero():
-            failures.append((name, res))
-    if failures:
-        order = {n: i for i, n in enumerate(names)}
-        failures.sort(key=lambda nr: order[nr[0]])
-        name, res = failures[0]
-        return SquareReport(False, witness=name, residual=res)
+            return SquareReport(False, witness=name, residual=res)
     return SquareReport(True)
 
 

@@ -10,8 +10,15 @@ from fractions import Fraction
 from nqforge.polyring import Polynomial
 from nqforge.algebroid import ce_differential, to_antialgebroid
 from nqforge.derived import DerivedSetup
+from nqforge.graded import GradedBundle, canonical_tuples
 from nqforge.linfty import apply_anchor
 from nqforge.signs import derived_to_symmetric_sign
+from nqforge.superalg import (
+    Derivation,
+    SuperFunction,
+    extract_section,
+    interior_product,
+)
 from nqforge import fixtures
 
 
@@ -57,6 +64,43 @@ def test_brackets_above_top_arity_vanish():
             continue
         secs = [anti.bundle.frame_section(labels[0])] * (n + 2)
         assert ds.bracket(secs).is_zero(), name
+
+
+def _whole_field_bracket(q, sections):
+    """Reference: nested commutators of all of q, then the weight -1 part."""
+    current = q
+    for sec in sections:
+        current = current.commutator(interior_product(sec))
+    return extract_section(current.homological_part(-1))
+
+
+def _mixed_weight_field():
+    # components of homological weights -1, 0, 1 and 2 and of standard
+    # degrees -1, +1 and +2; nothing here is a differential
+    B = GradedBundle(("x",), {1: ["u", "v"], 2: ["h"]}, side="E")
+    x = Polynomial.variable("x", B.base_coordinates)
+    g = lambda lab: SuperFunction.generator(lab, B)
+    fx = lambda p: SuperFunction.from_polynomial(p, B)
+    return DerivedSetup(B, Derivation(B, {
+        "x": g("u") * x + g("h") + g("u") * g("v"),
+        "u": fx(x * x) + g("u") * g("v") + g("h") * 3,
+        "v": g("h") * x + g("u") * g("h"),
+        "h": g("u") * g("h") + g("u") * g("v") * g("h") + g("v") * 2,
+    }))
+
+
+def test_bracket_equals_whole_field_reference():
+    setups = [(name, _setup(algd)[1]) for name, algd in _all_pairs()]
+    setups.append(("mixed", _mixed_weight_field()))
+    for name, ds in setups:
+        bundle = ds.bundle
+        for r in range(bundle.n + 3):
+            for key in canonical_tuples(bundle.labels(), r):
+                secs = [bundle.frame_section(lab) for lab in key]
+                want = _whole_field_bracket(ds.q, secs)
+                assert ds.bracket(secs) == want, (name, key)
+                if r == bundle.n + 2:
+                    assert want.is_zero(), (name, key)
 
 
 def test_derived_anchor_matches_declared():

@@ -141,21 +141,6 @@ def test_check_homological():
     assert rep2.witness is not None
 
 
-def test_thread_map_matches_sequential(monkeypatch):
-    from nqforge.util import thread_count, thread_map
-
-    monkeypatch.delenv("NQFORGE_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("NQFORGE_THREADS", "banana")
-    assert thread_count() == 1
-    monkeypatch.setenv("NQFORGE_THREADS", "-3")
-    assert thread_count() == 1
-    monkeypatch.setenv("NQFORGE_THREADS", "4")
-    assert thread_count() == 4
-    seq = thread_map(lambda v: v * v, range(10))
-    assert seq == [v * v for v in range(10)]
-
-
 def test_check_homological_result_independent_of_threads(monkeypatch):
     q = Derivation(B, {"x": -gen("u")})
     monkeypatch.setenv("NQFORGE_THREADS", "3")
@@ -163,3 +148,34 @@ def test_check_homological_result_independent_of_threads(monkeypatch):
     monkeypatch.delenv("NQFORGE_THREADS")
     rep_seq = check_homological(q)
     assert rep.ok == rep_seq.ok is True
+
+
+def _split(d):
+    return {l: part.images for l, part in d.std_parts().items()}
+
+
+def _degree(d):
+    try:
+        return d.std_degree()
+    except ValueError:
+        return "inhomogeneous"
+
+
+def test_cached_split_matches_fresh_derivation():
+    d = Derivation(B, {
+        "x": gen("u") + gen("h"),
+        "u": gen("u") * gen("v") + SuperFunction.from_polynomial(X, B),
+        "h": gen("u") * gen("h"),
+    })
+    e = Derivation(B, {"v": gen("h"), "x": gen("v") * gen("u")})
+    f = SuperFunction.from_polynomial(X * X, B) * gen("u") + gen("v") * gen("h")
+    made = [d + e, d - e, d.scale(X), d.commutator(e)]
+    made += list(d.homological_parts().values()) + list(d.std_parts().values())
+    for got in made:
+        got.std_parts()
+        fresh = Derivation(got.bundle, dict(got.images))
+        assert _split(got) == _split(fresh)
+        assert _degree(got) == _degree(fresh)
+        assert got.apply(f) == fresh.apply(f)
+    for l, part in d.std_parts().items():
+        assert part.std_parts() == {l: part}
