@@ -27,6 +27,7 @@ from .graded import (
     Section,
     canonical_tuples,
     normalize_tuple,
+    perm_sign,
 )
 from .signs import ce_prefactor, derived_to_symmetric_sign, sign_pow, suspension_power_sign
 from .superalg import (
@@ -142,6 +143,14 @@ def _as_antialgebroid(a):
         return a
     if isinstance(a, LieNAlgebroid):
         return to_antialgebroid(a)
+    raise TypeError("expected an algebroid or antialgebroid, got %r" % type(a))
+
+
+def _as_algebroid(a):
+    if isinstance(a, LieNAlgebroid):
+        return a
+    if isinstance(a, LieNAntialgebroid):
+        return to_algebroid(a)
     raise TypeError("expected an algebroid or antialgebroid, got %r" % type(a))
 
 
@@ -562,20 +571,17 @@ def _standard_test_forms(bundle, s):
     return forms
 
 
-def _form_value(form, labels_tuple, zero):
-    """Antisymmetric lookup of a strictly-increasing-keyed form table."""
-    arr = list(labels_tuple)
-    sign = 1
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                sign = -sign
-    for j in range(len(arr) - 1):
-        if arr[j] == arr[j + 1]:
-            return zero
-    got = form.get(tuple(arr), zero)
-    return got if sign == 1 else -got
+def _form_value(form, labels_tuple, bundle):
+    """Antisymmetric lookup of a form table keyed by label tuples in
+    increasing bundle order."""
+    index = bundle.label_index
+    order = sorted(range(len(labels_tuple)), key=lambda i: index[labels_tuple[i]])
+    key = tuple(labels_tuple[i] for i in order)
+    zero = Polynomial.zero(bundle.base_coordinates)
+    if len(set(key)) < len(key):
+        return zero
+    got = form.get(key, zero)
+    return got if perm_sign(order) == 1 else -got
 
 
 def de_rham_compare(algd, max_form_degree=3):
@@ -634,25 +640,18 @@ def de_rham_compare(algd, max_form_degree=3):
                 total = zero
                 for pair in itertools.combinations(range(s + 1), 2):
                     rest = [i for i in range(s + 1) if i not in pair]
-                    perm = list(pair) + rest
-                    sig = 1
-                    arr = list(perm)
-                    for i in range(len(arr)):
-                        for j in range(len(arr) - 1 - i):
-                            if arr[j] > arr[j + 1]:
-                                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                                sig = -sig
+                    sig = perm_sign(list(pair) + rest)
                     br = brackets.value((t[pair[0]], t[pair[1]]))
                     contrib = zero
                     for lab, comp in br.components.items():
                         contrib = contrib + comp * _form_value(
-                            form, (lab,) + tuple(t[i] for i in rest), zero
+                            form, (lab,) + tuple(t[i] for i in rest), bundle
                         )
                     total = total + contrib * sig
                 for one in range(s + 1):
                     rest = [i for i in range(s + 1) if i != one]
                     sig = sign_pow(one)  # moving slot `one` to the front
-                    val = _form_value(form, tuple(t[i] for i in rest), zero)
+                    val = _form_value(form, tuple(t[i] for i in rest), bundle)
                     d = apply_anchor(anchor, t[one], val)
                     total = total - d * sig
                 route_two[t] = total
@@ -663,7 +662,7 @@ def de_rham_compare(algd, max_form_degree=3):
                 total = zero
                 for one in range(s + 1):
                     rest = [i for i in range(s + 1) if i != one]
-                    val = _form_value(form, tuple(t[i] for i in rest), zero)
+                    val = _form_value(form, tuple(t[i] for i in rest), bundle)
                     d = apply_anchor(anchor, t[one], val)
                     total = total + d * sign_pow(one)
                 for i, j in itertools.combinations(range(s + 1), 2):
@@ -672,7 +671,7 @@ def de_rham_compare(algd, max_form_degree=3):
                     contrib = zero
                     for lab, comp in br.components.items():
                         contrib = contrib + comp * _form_value(
-                            form, (lab,) + tuple(t[x] for x in rest), zero
+                            form, (lab,) + tuple(t[x] for x in rest), bundle
                         )
                     total = total + contrib * sign_pow(i + j)
                 route_three[t] = total

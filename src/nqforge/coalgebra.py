@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .polyring import Polynomial
-from .graded import GradedBundle, normalize_tuple, shuffles
+from .graded import GradedBundle, normalize_tuple, set_partitions, shuffles
 from .signs import koszul_sign, sign_pow
 
 
@@ -348,27 +348,16 @@ class Coderivation:
         return out
 
 
-def _set_partitions(items):
-    """All partitions of a list into unordered nonempty blocks; blocks keep
-    the input order inside, and the block list is ordered by first element."""
-    if not items:
-        yield []
-        return
-    head, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[head]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[head] + part[i]] + part[i + 1:]
-
-
 class Cohomomorphism:
     """Coalgebra morphism between word coalgebras, given by a degree-zero
     family of corestrictions (arity r maps source tuples to target words).
 
-    Acting on a word sums over unordered set partitions of the letters, one
-    corestriction per block; the 1/s! of the ordered-composition picture is
-    exactly the passage to unordered partitions, which is well defined
-    because degree-zero maps make every summand independent of block order.
+    Acting on a word sums over unordered set partitions of the letters
+    (graded.set_partitions, the kernel the morphism bracket conditions
+    share), one corestriction per block; the 1/s! of the ordered-composition
+    picture is exactly the passage to unordered partitions, which is well
+    defined because degree-zero maps make every summand independent of
+    block order.
     """
 
     def __init__(self, source_bundle, target_bundle, corestrictions):
@@ -384,33 +373,23 @@ class Cohomomorphism:
                 raise ValueError("cohomomorphism corestrictions must have degree 0")
 
     def apply_key(self, key, coeff):
-        bundle = self.source_bundle
-        degs = {i: bundle.degree(lab) for i, lab in enumerate(key)}
-        out = TensorWord.zero(self.target_bundle)
         if not key:
             # the empty word is grouplike and maps to the empty word
             return TensorWord(self.target_bundle, {(): coeff})
-        for blocks in _set_partitions(list(range(len(key)))):
+        degs = [self.source_bundle.degree(lab) for lab in key]
+        out = TensorWord.zero(self.target_bundle)
+        for blocks in set_partitions(range(len(key))):
             piece = None
-            ok = True
-            # Koszul sign of regrouping the word into the ordered blocks
-            flat = [i for block in blocks for i in block]
-            perm_degs = [degs[i] for i in range(len(key))]
-            eps = koszul_sign(flat, perm_degs)
             for block in blocks:
-                size = len(block)
-                cor = self.corestrictions.get(size)
-                if cor is None:
-                    ok = False
-                    break
-                val = cor.value([key[i] for i in block])
-                if val.is_zero():
-                    ok = False
+                cor = self.corestrictions.get(len(block))
+                val = None if cor is None else cor.value([key[i] for i in block])
+                if val is None or val.is_zero():
                     break
                 piece = val if piece is None else piece * val
-            if not ok or piece is None:
-                continue
-            out = out + piece.scale(Fraction(eps)).scale(coeff)
+            else:
+                # Koszul sign of regrouping the word into the ordered blocks
+                eps = koszul_sign([i for block in blocks for i in block], degs)
+                out = out + piece.scale(Fraction(eps)).scale(coeff)
         return out
 
     def apply(self, word):

@@ -8,7 +8,7 @@ Sections store frame coefficients as exact polynomials.
 
 Sign helpers live in signs.py; this module re-exports the ones that belong
 to the graded calculus (koszul_sign, chi_sign, suspension signs) and adds
-shuffle enumeration and tuple normalization.
+shuffle and set-partition enumeration and tuple normalization.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ __all__ = [
     "suspension_power_sign",
     "suspend_tuple_sign",
     "shuffles",
+    "set_partitions",
     "canonical_tuples",
     "normalize_tuple",
     "suspend_tuple",
@@ -266,6 +267,25 @@ def shuffles(*block_sizes):
     choose(list(range(total)), list(block_sizes), [])
     results.sort()
     return results
+
+
+def set_partitions(items):
+    """All partitions of a sequence into unordered nonempty blocks, each
+    partition once, as lists of lists.
+
+    Blocks keep the input order inside and are listed by their first
+    element, so concatenating the blocks gives a shuffle permutation of the
+    block sizes when items is range(r).  There are Bell-number many.
+    """
+    items = list(items)
+    if not items:
+        yield []
+        return
+    last = items[-1]
+    for part in set_partitions(items[:-1]):
+        for i in range(len(part)):
+            yield part[:i] + [part[i] + [last]] + part[i + 1 :]
+        yield part + [[last]]
 
 
 def canonical_tuples(labels, r):

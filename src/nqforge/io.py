@@ -36,8 +36,11 @@ with base_map giving the pullback of each target coordinate and the
 components keyed by arity, then by comma-joined source frame tuple, then
 by target frame label.
 
-All loaders raise StructureFileError with a context path (and line/column
-for syntax problems) instead of letting raw exceptions escape.
+Only the keys shown are read; any other key, another "kind", or a structure
+block without "frames" (an empty structure declares "frames": {}), is an
+error, so a misspelled or foreign file cannot pass as a structure.  All
+loaders raise StructureFileError with a context path (and line/column for
+syntax problems) instead of letting raw exceptions escape.
 """
 
 from __future__ import annotations
@@ -62,9 +65,18 @@ class StructureFileError(ValueError):
         super().__init__(message)
 
 
-def _expect_dict(value, context):
+_STRUCTURE_KEYS = "kind side base_coordinates frames anchor brackets q".split()
+_MORPHISM_KEYS = "kind source target base_map components".split()
+
+
+def _expect_dict(value, context, keys=None):
+    """value as an object; with keys, every key it holds must be listed."""
     if not isinstance(value, dict):
         raise StructureFileError("expected an object", context)
+    unknown = sorted(set(value) - set(keys)) if keys else []
+    if unknown:
+        message = "unknown key(s) %s (allowed: %s)"
+        raise StructureFileError(message % (unknown, ", ".join(keys)), context)
     return value
 
 
@@ -122,7 +134,7 @@ def bundle_from_dict(data, context="structure"):
         raise StructureFileError(
             "base_coordinates must be a list of names", context
         )
-    frames = _expect_dict(data.get("frames", {}), context + ".frames")
+    frames = _expect_dict(data.get("frames"), context + ".frames")
     by_mag = {}
     for mag_key, labels in frames.items():
         try:
@@ -238,7 +250,9 @@ def _q_from_dict(data, bundle, context):
 def structure_from_dict(data, context="structure"):
     """Build an algebroid (side sE) or antialgebroid (side E) plus the raw
     degree-+1 field of the optional "q" block."""
-    data = _expect_dict(data, context)
+    data = _expect_dict(data, context, _STRUCTURE_KEYS)
+    if data.get("kind", "structure") != "structure":
+        raise StructureFileError("kind must be \"structure\"", context)
     bundle = bundle_from_dict(data, context)
     brackets = _tables_from_dict(
         data.get("brackets", {}), bundle, context + ".brackets"
@@ -260,7 +274,7 @@ def structure_from_dict(data, context="structure"):
 
 def morphism_from_dict(data, context="morphism"):
     """Build (morphism data, source structure, target structure)."""
-    data = _expect_dict(data, context)
+    data = _expect_dict(data, context, _MORPHISM_KEYS)
     source, _ = structure_from_dict(
         _expect_dict(data.get("source"), context + ".source"),
         context + ".source",

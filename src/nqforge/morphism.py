@@ -12,22 +12,28 @@ correspondence this package certifies.
 
 The bracket compatibility check has three shapes: the general different-base
 condition (decomposition coefficients against global target frames, anchor
-derivative row, composition-and-shuffle right side with its 1/r! weight),
-a simplified form when the base map is the identity (the anchor row migrates
-into the anchored evaluation of the target brackets, where it cancels), and
-the rank-zero-base form on the shifted side with printed per-block signs,
-which over a point is the componentwise morphism condition of homotopy Lie
-algebras.
+derivative row, composition side), a simplified form when the base map is
+the identity (the anchor row migrates into the anchored evaluation of the
+target brackets, where it cancels), and the rank-zero-base form on the
+shifted side with printed per-block signs, which over a point is the
+componentwise morphism condition of homotopy Lie algebras.
+
+The composition side applies the target brackets to blocks of arguments,
+each block pushed forward by a component.  All three shapes sum it over
+unordered set partitions of the arguments, one term per partition with the
+blocks listed by first argument and the Koszul (or, on the shifted side,
+chi) sign of regrouping.  This is the printed sum over ordered compositions
+and shuffles with its 1/r! weight: the components have degree 0 and the
+target brackets are graded symmetric, so the r! orderings of one partition
+give the same summand.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from fractions import Fraction
 
 from .polyring import Polynomial, BaseMap
-from .graded import Section, canonical_tuples, normalize_tuple, shuffles
+from .graded import Section, canonical_tuples, normalize_tuple, set_partitions, shuffles
 from .signs import (
     bracket_transfer_sign,
     chi_sign,
@@ -38,14 +44,7 @@ from .signs import (
 )
 from .superalg import SuperFunction, element_from_values, evaluate_element
 from .linfty import apply_anchor
-from .algebroid import CheckOutcome, _as_antialgebroid, ce_differential, to_algebroid
-
-
-def _compositions(total, parts):
-    """Ordered tuples of positive integers with the given length and sum."""
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        bounds = (0,) + cuts + (total,)
-        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
+from .algebroid import CheckOutcome, _as_algebroid, _as_antialgebroid, ce_differential
 
 
 def _acc(target, label, poly):
@@ -346,6 +345,17 @@ def _bracket_row(morph, src, labels, degs, acc):
                     _acc(acc, zeta, poly * comp * eps)
 
 
+def _partitions(t, n, counts):
+    """Set partitions of the positions 0..t-1 on the composition side: at
+    most n positions per block (components stop at arity n) and a block
+    count in counts (a count without a target bracket contributes nothing).
+    Yields (blocks, order), order being the blocks concatenated, the
+    shuffle that regroups the arguments."""
+    for blocks in set_partitions(range(t)):
+        if len(blocks) in counts and all(len(b) <= n for b in blocks):
+            yield blocks, [q for b in blocks for q in b]
+
+
 def _general_defect(morph, src, tgt, labels):
     """Left side minus right side of the different-base compatibility
     condition at one frame tuple, as {target label: Polynomial over the
@@ -375,35 +385,24 @@ def _general_defect(morph, src, tgt, labels):
                 if not der.is_zero():
                     _acc(acc, zeta, der * sign)
 
-    # right side: target brackets of pushed-forward blocks, summed over
-    # ordered compositions and their shuffles with the 1/r! weight
-    for rnum in range(1, t + 1):
-        w = Fraction(1, math.factorial(rnum))
-        for parts in _compositions(t, rnum):
-            if any(p > morph.n for p in parts):
+    # right side: target brackets of pushed-forward blocks
+    for blocks, order in _partitions(t, morph.n, tgt.brackets.tables):
+        per_block = [
+            list(morph.value(len(b), tuple(labels[q] for q in b)).items())
+            for b in blocks
+        ]
+        if not all(per_block):
+            continue
+        eps = koszul_sign(order, degs)
+        for choice in itertools.product(*per_block):
+            coeff = Polynomial.constant(eps, bundle.base_coordinates)
+            for _, f in choice:
+                coeff = coeff * f
+            if coeff.is_zero():
                 continue
-            for perm in shuffles(*parts):
-                eps = koszul_sign(perm, degs)
-                offset = 0
-                per_block = []
-                for p in parts:
-                    block = tuple(labels[q] for q in perm[offset : offset + p])
-                    offset += p
-                    per_block.append(list(morph.value(p, block).items()))
-                if any(not pb for pb in per_block):
-                    continue
-                for choice in itertools.product(*per_block):
-                    coeff = Polynomial.constant(
-                        eps * w, bundle.base_coordinates
-                    )
-                    for _, f in choice:
-                        coeff = coeff * f
-                    if coeff.is_zero():
-                        continue
-                    zetas = tuple(z for z, _ in choice)
-                    val = tgt.brackets.value(zetas)
-                    for lab, c in val.components.items():
-                        _acc(acc, lab, -(coeff * pull(c)))
+            val = tgt.brackets.value(tuple(z for z, _ in choice))
+            for lab, c in val.components.items():
+                _acc(acc, lab, -(coeff * pull(c)))
 
     return _clean(acc)
 
@@ -419,24 +418,20 @@ def _simplified_defect(morph, src, tgt, labels):
 
     _bracket_row(morph, src, labels, degs, acc)
 
-    for rnum in range(1, t + 1):
-        w = Fraction(1, math.factorial(rnum))
-        for parts in _compositions(t, rnum):
-            if any(p > morph.n for p in parts):
-                continue
-            for perm in shuffles(*parts):
-                eps = koszul_sign(perm, degs)
-                offset = 0
-                sections = []
-                for p in parts:
-                    block = tuple(labels[q] for q in perm[offset : offset + p])
-                    offset += p
-                    sections.append(Section(tgt.bundle, morph.value(p, block)))
-                if any(sec.is_zero() for sec in sections):
-                    continue
-                val = tgt.brackets.evaluate(sections, tgt.anchor)
-                for lab, c in val.components.items():
-                    _acc(acc, lab, c * (-(eps * w)))
+    # the anchored evaluation is nonzero on two blocks even without a
+    # binary bracket table
+    counts = set(tgt.brackets.tables) | ({2} if tgt.anchor else set())
+    for blocks, order in _partitions(t, morph.n, counts):
+        sections = [
+            Section(tgt.bundle, morph.value(len(b), tuple(labels[q] for q in b)))
+            for b in blocks
+        ]
+        if any(sec.is_zero() for sec in sections):
+            continue
+        eps = koszul_sign(order, degs)
+        val = tgt.brackets.evaluate(sections, tgt.anchor)
+        for lab, c in val.components.items():
+            _acc(acc, lab, c * -eps)
 
     return _clean(acc)
 
@@ -552,30 +547,16 @@ def verify_morphism(morph, source, target):
 # ----- the rank-zero-base reduction on the shifted side -----
 
 
-def _shifted_component_tables(morph):
-    """Components conjugated to the shifted side.  The conjugation has the
-    same shape as bracket transfer, so the per-key sign is the same
-    function of the slot magnitudes."""
-    bundle = morph.source_bundle
-    tables = {}
-    for r, table in morph.components.items():
-        out = {}
-        for key, targets in table.items():
-            mags = [bundle.magnitude(lab) for lab in key]
-            sign = bracket_transfer_sign(mags)
-            out[key] = {lab: poly * sign for lab, poly in targets.items()}
-        tables[r] = out
-    return tables
-
-
 def over_point_defect(morph, source, target, labels):
     """Left side minus right side of the printed shifted-side morphism
     condition at one frame tuple of a rank-zero base, as {target label:
-    coefficient}.
+    coefficient}.  source and target may be given on either side of the
+    degree shift.
 
     Both sides carry the printed per-term weights: the bracket side
     (-1)^(s(r-1)) times the signed Koszul sign of the shuffle, the
-    composition side the per-block sign together with the 1/r! weight.
+    composition side the per-block sign times the chi sign of regrouping,
+    one term per unordered partition (see the module docstring).
     The printed per-block exponent is split by a stray line break; this
     implementation reads it as one exponent, and the tests certify that
     reading against the unshifted condition.
@@ -584,21 +565,22 @@ def over_point_defect(morph, source, target, labels):
         morph.target_bundle.base_coordinates
     ):
         raise ValueError("the printed reduction applies over a rank-zero base")
-    src_alg = to_algebroid(_as_antialgebroid(source))
-    tgt_alg = to_algebroid(_as_antialgebroid(target))
+    src_alg = _as_algebroid(source)
+    tgt_alg = _as_algebroid(target)
     s_src = src_alg.bundle
-    shifted = _shifted_component_tables(morph)
 
     def phi_value(r, key):
-        table = shifted.get(r)
+        # components conjugated to the shifted side; the conjugation has the
+        # shape of bracket transfer, so the sign is the same function of the
+        # slot magnitudes
+        table = morph.components.get(r)
         if not table:
             return {}
         canon, sign = normalize_tuple(tuple(key), s_src, symmetric=False)
-        if sign == 0:
+        entry = table.get(canon)
+        if sign == 0 or not entry:
             return {}
-        entry = table.get(canon, {})
-        if sign == 1:
-            return dict(entry)
+        sign *= bracket_transfer_sign([s_src.magnitude(lab) for lab in canon])
         return {lab: poly * sign for lab, poly in entry.items()}
 
     t = len(labels)
@@ -618,35 +600,25 @@ def over_point_defect(morph, source, target, labels):
                 for zeta, poly in phi_value(r, (lab_i,) + rest).items():
                     _acc(acc, zeta, poly * comp * (w * chi))
 
-    for rnum in range(1, t + 1):
-        w = Fraction(1, math.factorial(rnum))
-        for parts in _compositions(t, rnum):
-            if any(p > morph.n for p in parts):
+    for blocks, order in _partitions(t, morph.n, tgt_alg.brackets.tables):
+        per_block = [
+            list(phi_value(len(b), tuple(labels[q] for q in b)).items())
+            for b in blocks
+        ]
+        if not all(per_block):
+            continue
+        weight = over_point_block_sign(
+            [len(b) for b in blocks], [sum(degs[q] for q in b) for b in blocks]
+        ) * chi_sign(order, degs)
+        for choice in itertools.product(*per_block):
+            coeff = Polynomial.constant(weight, ())
+            for _, f in choice:
+                coeff = coeff * f
+            if coeff.is_zero():
                 continue
-            for perm in shuffles(*parts):
-                chi = chi_sign(perm, degs)
-                offset = 0
-                per_block = []
-                dsums = []
-                for p in parts:
-                    pos = perm[offset : offset + p]
-                    offset += p
-                    block = tuple(labels[q] for q in pos)
-                    dsums.append(sum(degs[q] for q in pos))
-                    per_block.append(list(phi_value(p, block).items()))
-                if any(not pb for pb in per_block):
-                    continue
-                weight = over_point_block_sign(list(parts), dsums) * chi * w
-                for choice in itertools.product(*per_block):
-                    coeff = Polynomial.constant(weight, ())
-                    for _, f in choice:
-                        coeff = coeff * f
-                    if coeff.is_zero():
-                        continue
-                    zetas = tuple(z for z, _ in choice)
-                    val = tgt_alg.brackets.value(zetas)
-                    for lab, c in val.components.items():
-                        _acc(acc, lab, -(coeff * c))
+            val = tgt_alg.brackets.value(tuple(z for z, _ in choice))
+            for lab, c in val.components.items():
+                _acc(acc, lab, -(coeff * c))
 
     return _clean(acc)
 
@@ -654,6 +626,8 @@ def over_point_defect(morph, source, target, labels):
 def check_over_point_reduction(morph, source, target):
     """Sweep the printed shifted-side condition over all frame tuples and
     report its verdict, for comparison with the unshifted condition's."""
+    source = _as_algebroid(source)
+    target = _as_algebroid(target)
     labels = morph.source_bundle.labels()
     ok = True
     witness = None

@@ -3,9 +3,11 @@ import itertools
 import pytest
 
 from nqforge.polyring import Polynomial
+from nqforge.graded import GradedBundle
 from nqforge.superalg import SuperFunction, evaluate_element
 from nqforge.linfty import apply_anchor
 from nqforge.algebroid import (
+    LieNAlgebroid,
     ce_differential,
     consequence_checks,
     de_rham_compare,
@@ -170,9 +172,22 @@ def test_one_form_differential_expands_by_anchor_and_bracket():
 # ----- de Rham comparison, both transport routes, exact -----
 
 
+def _tangent_r3_reversed_frames():
+    # frames declared against alphabetical order: the form lookup must sort
+    # by bundle order, not by label string
+    coords = ("x", "y", "z")
+    bundle = GradedBundle(coords, {1: ["c", "b", "a"]}, side="sE")
+    one = Polynomial.constant(1, coords)
+    anchor = {"c": {"x": one}, "b": {"y": one}, "a": {"z": one}}
+    return LieNAlgebroid(bundle, {}, anchor)
+
+
 def test_de_rham_routes_agree_exactly():
-    for name in ["tangent_plane", "action_line"]:
-        rep = de_rham_compare(fixtures.all_structures()[name], max_form_degree=2)
+    cases = {name: fixtures.all_structures()[name]
+             for name in ["tangent_plane", "action_line"]}
+    cases["tangent_r3_reversed_frames"] = _tangent_r3_reversed_frames()
+    for name, algd in cases.items():
+        rep = de_rham_compare(algd, max_form_degree=2)
         assert rep.ok, (name, rep.witness)
         assert rep.relation == "opposite", name
         assert rep.witness is None

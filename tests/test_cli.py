@@ -91,6 +91,19 @@ def test_empty_structure_passes_vacuously(capsys):
     assert code == 0
 
 
+def test_malformed_files_are_input_errors(capsys, tmp_path):
+    # an empty object or a foreign key must not verify as an empty structure
+    morph = json.loads(pathlib.Path(fx("morphism_point_two_term.json")).read_text())
+    morph["source"]["n"] = 2
+    cases = [("verify", {}), ("verify", {"n": 2}), ("check-morphism", morph)]
+    for i, (command, data) in enumerate(cases):
+        p = tmp_path / ("bad%d.json" % i)
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, [command, str(p)])
+        assert code == 2, (command, data)
+        assert "error:" in err
+
+
 def test_to_q_prints_the_field(capsys):
     code, out, err = run(capsys, ["to-q", fx("action_line.json")])
     assert code == 0

@@ -10,6 +10,7 @@ from nqforge.graded import (
     Section,
     canonical_tuples,
     normalize_tuple,
+    set_partitions,
     shuffles,
 )
 from nqforge import signs
@@ -133,6 +134,20 @@ def test_shuffles_are_block_increasing(sizes):
     for size in sizes:
         expected //= math.factorial(size)
     assert len(seen) == expected
+
+
+def test_set_partitions_each_once_in_canonical_form():
+    for k, bell in enumerate([1, 1, 2, 5, 15, 52]):
+        items = "abcdef"[:k]
+        parts = list(set_partitions(items))
+        assert len(parts) == bell, k
+        # each unordered partition exactly once
+        assert len({frozenset(map(tuple, p)) for p in parts}) == bell
+        for p in parts:
+            assert sorted(x for b in p for x in b) == list(items)
+            # blocks keep input order and are listed by their first element
+            assert all(list(b) == sorted(b) for b in p)
+            assert [b[0] for b in p] == sorted(b[0] for b in p)
 
 
 def test_canonical_tuples():

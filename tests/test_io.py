@@ -174,3 +174,25 @@ def test_generated_fixture_files_load(tmp_path):
     for p in fdir.glob("*.json"):
         kind, payload = load_any(str(p))
         assert kind in ("structure", "morphism"), p.name
+
+
+def test_unknown_keys_and_missing_frames_rejected():
+    good = structure_to_dict(fixtures.two_term())
+    bad_structures = [{}, {"n": 2}, dict(good, name="two_term"),
+                      dict(good, kind="morphsim")]
+    bad_structures.append({k: v for k, v in good.items() if k != "frames"})
+    for data in bad_structures:
+        with pytest.raises(StructureFileError):
+            structure_from_dict(data)
+    m, src, tgt, _ = fixtures.point_two_term()
+    morph = morphism_to_dict(m, src, tgt)
+    with pytest.raises(StructureFileError):
+        morphism_from_dict(dict(morph, note="x"))
+    for block in ["source", "target"]:
+        with pytest.raises(StructureFileError) as exc:
+            morphism_from_dict(dict(morph, **{block: dict(morph[block], n=2)}))
+        assert "." + block in str(exc.value)
+        no_frames = {k: v for k, v in morph[block].items() if k != "frames"}
+        with pytest.raises(StructureFileError) as exc:
+            morphism_from_dict(dict(morph, **{block: no_frames}))
+        assert "frames" in str(exc.value)

@@ -1,15 +1,31 @@
+import itertools
+import math
+import os
 import random
+import sys
 
 from fractions import Fraction
 
 from nqforge.polyring import Polynomial, BaseMap
-from nqforge.graded import GradedBundle, canonical_tuples, normalize_tuple
-from nqforge.algebroid import LieNAntialgebroid, _as_antialgebroid
+from nqforge.graded import (
+    GradedBundle,
+    Section,
+    canonical_tuples,
+    normalize_tuple,
+    shuffles,
+)
+from nqforge.algebroid import LieNAntialgebroid, _as_antialgebroid, to_algebroid
 from nqforge.superalg import SuperFunction
-from nqforge.signs import bracket_transfer_sign
+from nqforge.signs import (
+    bracket_transfer_sign,
+    chi_sign,
+    koszul_sign,
+    over_point_block_sign,
+)
 from nqforge.morphism import (
     MorphismData,
     _general_defect,
+    _simplified_defect,
     build_phi,
     check_anchor_condition,
     check_bracket_conditions,
@@ -216,3 +232,186 @@ def test_live_binary_tuples_carry_transport_sign_one():
     # so the printed condition matches the unshifted one literally there
     for mags in [[1, 1], [1, 2]]:
         assert bracket_transfer_sign(mags) == 1, mags
+
+
+# ----- the partition kernel against the printed ordered sum -----
+
+
+def _compositions(total, parts):
+    """Ordered tuples of positive integers with the given length and sum."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        bounds = (0,) + cuts + (total,)
+        yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
+
+
+def _reference_composition_side(shape, morph, tgt, labels):
+    """Composition side of one defect shape as printed: ordered
+    compositions of the arguments, their shuffles and the 1/r! weight,
+    already negated as it enters the defect."""
+    bundle = morph.source_bundle
+    pull = morph.base_map.pullback
+    if shape == "over_point":
+        bundle = bundle.shifted()
+    degs = [bundle.degree(lab) for lab in labels]
+
+    def value(r, key):
+        if shape != "over_point":
+            return morph.value(r, key)
+        canon, sign = normalize_tuple(key, bundle, symmetric=False)
+        entry = morph.components.get(r, {}).get(canon, {})
+        sign *= bracket_transfer_sign([bundle.magnitude(l) for l in canon])
+        return {lab: poly * sign for lab, poly in entry.items()} if sign else {}
+
+    out = {}
+
+    def add(lab, poly):
+        out[lab] = out[lab] + poly if lab in out else poly
+
+    t = len(labels)
+    for rnum in range(1, t + 1):
+        w = Fraction(1, math.factorial(rnum))
+        for parts in _compositions(t, rnum):
+            if max(parts) > morph.n:
+                continue
+            for perm in shuffles(*parts):
+                cuts = list(itertools.accumulate((0,) + parts))
+                blocks = [tuple(labels[q] for q in perm[a:b])
+                          for a, b in zip(cuts, cuts[1:])]
+                if shape == "over_point":
+                    sums = [sum(bundle.degree(l) for l in b) for b in blocks]
+                    sign = chi_sign(perm, degs) * over_point_block_sign(
+                        list(parts), sums)
+                else:
+                    sign = koszul_sign(perm, degs)
+                values = [value(len(b), b) for b in blocks]
+                if shape == "simplified":
+                    sections = [Section(tgt.bundle, v) for v in values]
+                    val = tgt.brackets.evaluate(sections, tgt.anchor)
+                    for lab, c in val.components.items():
+                        add(lab, c * -(sign * w))
+                    continue
+                for choice in itertools.product(*(v.items() for v in values)):
+                    coeff = Polynomial.constant(sign * w, bundle.base_coordinates)
+                    for _, f in choice:
+                        coeff = coeff * f
+                    val = tgt.brackets.value(tuple(z for z, _ in choice))
+                    for lab, c in val.components.items():
+                        add(lab, -(coeff * pull(c)))
+    return out
+
+
+def _check_against_reference(morph, source, target):
+    """Every defect shape that applies equals its bracket and anchor rows
+    (the defect against a bracketless, anchorless target) plus the printed
+    composition side, on every canonical tuple of arity 1..n+1.  Returns
+    the number of nonzero defects seen."""
+    src = _as_antialgebroid(source)
+    tgt = _as_antialgebroid(target)
+    bare = LieNAntialgebroid(tgt.bundle, {}, {})
+    shapes = {"general": (_general_defect, src, tgt, bare)}
+    if morph.is_base_preserving():
+        shapes["simplified"] = (_simplified_defect, src, tgt, bare)
+    if not morph.source_bundle.base_coordinates:
+        shapes["over_point"] = (over_point_defect,) + tuple(
+            map(to_algebroid, (src, tgt, bare)))
+    live = 0
+    for t in range(1, morph.n + 2):
+        for key in canonical_tuples(morph.source_bundle.labels(), t):
+            if normalize_tuple(key, morph.source_bundle, True)[1] == 0:
+                continue
+            for shape, (defect, src, tgt, bare) in shapes.items():
+                got = defect(morph, src, tgt, key)
+                rows = defect(morph, src, bare, key)
+                ref = _reference_composition_side(shape, morph, tgt, key)
+                for lab, poly in ref.items():
+                    rows[lab] = rows[lab] + poly if lab in rows else poly
+                want = {lab: p for lab, p in rows.items() if not p.is_zero()}
+                assert got == want, (shape, key)
+                live += bool(got)
+    return live
+
+
+def _inn_conjugation_twins():
+    here = os.path.dirname(os.path.abspath(__file__))
+    sys.path.insert(0, os.path.join(os.path.dirname(here), "perfbench"))
+    import families
+    from nqforge.io import morphism_from_dict
+
+    return {case.name: morphism_from_dict(case.data)
+            for case in families.with_twin(families.inn_conjugation, 2, seed=1)}
+
+
+def test_partition_sum_matches_printed_sum_on_fixtures_and_inn_twins():
+    cases = {name: entry[:3] for name, entry in fixtures.all_morphisms().items()}
+    cases.update(_inn_conjugation_twins())
+    live = sum(_check_against_reference(*case) for case in cases.values())
+    assert live > 20, live
+
+
+def _random_poly(rng, coords):
+    out = Polynomial.constant(rng.choice([-2, -1, 1, 2]), coords)
+    for c in coords:
+        out = out + Polynomial.variable(c, coords) * rng.randint(-2, 2)
+    return out
+
+
+def _random_entries(rng, bundle, arities, coords, component):
+    """Random entries on canonical tuples: dense degree-preserving
+    components, or sparse degree +1 brackets."""
+    by_mag = bundle.labels_by_magnitude
+    out = {}
+    for r in arities:
+        table = {}
+        for key in canonical_tuples(bundle.labels(), r):
+            if normalize_tuple(key, bundle, True)[1] == 0:
+                continue
+            mag = sum(bundle.magnitude(l) for l in key) - (not component)
+            targets = {lab: _random_poly(rng, coords)
+                       for lab in by_mag.get(mag, ())
+                       if component or rng.random() < 0.6}
+            if targets:
+                table[key] = targets
+        out[r] = table
+    return out
+
+
+def test_partition_sum_matches_printed_sum_on_random_data():
+    # no validity is assumed: the two sums agree term by term on any
+    # graded-symmetric brackets and degree-0 components, over a point, over
+    # an anchored line, and along x -> x^2 + 1 of the line
+    rng = random.Random(11)
+    live = 0
+    for n, coords, squaring in itertools.product(
+        (2, 3), [(), ("x",)], (False, True)
+    ):
+        if squaring and not coords:
+            continue
+        frames = {1: ["p", "q", "u"][:n], 2: ["c"], 3: ["d"]}
+        frames = {a: frames[a] for a in range(1, n + 1)}
+        src_b = GradedBundle(coords, frames)
+        tgt_b = GradedBundle(coords, {a: [l.upper() for l in v]
+                                      for a, v in frames.items()})
+
+        def structure(bundle):
+            anchor = {lab: {c: _random_poly(rng, coords) for c in coords}
+                      for lab in bundle.labels_by_magnitude[1]}
+            tables = _random_entries(rng, bundle, range(1, n + 2), coords, False)
+            return LieNAntialgebroid(bundle, tables, anchor)
+
+        src, tgt = structure(src_b), structure(tgt_b)
+        comps = _random_entries(rng, src_b, range(1, n + 1), coords, True)
+        comps = {r: {k: {l.upper(): p for l, p in v.items()} for k, v in t.items()}
+                 for r, t in comps.items()}
+        images = {c: Polynomial.variable(c, coords) for c in coords}
+        if squaring:
+            images = {"x": images["x"] * images["x"] + Polynomial.constant(1, coords)}
+        mor = MorphismData(src_b, tgt_b, BaseMap(coords, coords, images), comps)
+        assert 3 in mor.components or n == 2
+        live += _check_against_reference(mor, src, tgt)
+        if coords and not squaring:
+            # the anchored evaluation acts on two blocks even without a
+            # binary bracket
+            tables = {r: t for r, t in tgt.brackets.tables.items() if r != 2}
+            anchored = LieNAntialgebroid(tgt_b, tables, tgt.anchor)
+            live += _check_against_reference(mor, src, anchored)
+    assert live > 50, live
