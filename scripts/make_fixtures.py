@@ -4,7 +4,6 @@ built-in instances.  Run from the repository root:
     python3 scripts/make_fixtures.py
 """
 
-import json
 import os
 import sys
 

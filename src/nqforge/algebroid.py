@@ -23,8 +23,6 @@ import itertools
 
 from .polyring import Polynomial
 from .graded import (
-    GradedBundle,
-    Section,
     canonical_tuples,
     normalize_tuple,
     perm_sign,
@@ -41,6 +39,7 @@ from .linfty import (
     AlgebraStructure,
     AntialgebraStructure,
     apply_anchor,
+    homotopy_residual_on_sections,
     homotopy_residual_symmetric,
     transfer_to_algebra,
     transfer_to_antialgebra,
@@ -369,7 +368,7 @@ def residual_linearity(anti, r_max=None):
                 for probe in probes:
                     scaled = list(frames)
                     scaled[slot] = scaled[slot].scale(probe)
-                    bent = _residual_on_sections(struct, scaled, anchor)
+                    bent = homotopy_residual_on_sections(struct, scaled, anchor)
                     defect = bent - plain.scale(probe)
                     if not defect.is_zero():
                         return CheckOutcome(
@@ -378,32 +377,6 @@ def residual_linearity(anti, r_max=None):
                             detail=repr(defect),
                         )
     return CheckOutcome(True)
-
-
-def _residual_on_sections(struct, sections, anchor):
-    """The symmetric homotopy residual evaluated on arbitrary homogeneous
-    sections: the same shuffle sum as the frame-tuple version in linfty,
-    with the same Koszul signs (scaling by a base polynomial does not move
-    the degree, so the signs agree with the frame computation)."""
-    from .graded import shuffles
-    from .signs import koszul_sign
-
-    bundle = struct.bundle
-    t = len(sections)
-    degs = [sec.degree() for sec in sections]
-    total = bundle.zero_section()
-    for i in range(1, t + 1):
-        for perm in shuffles(i, t - i):
-            eps = koszul_sign(perm, degs)
-            inner = struct.evaluate([sections[p] for p in perm[:i]], anchor)
-            if inner.is_zero():
-                continue
-            outer = struct.evaluate(
-                [inner] + [sections[p] for p in perm[i:]], anchor
-            )
-            if not outer.is_zero():
-                total = total + outer.scale(eps)
-    return total
 
 
 def verify_algebroid(a, r_max=None):

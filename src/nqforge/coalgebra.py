@@ -2,162 +2,25 @@
 that make the bracket-to-coderivation and morphism-to-cohomomorphism
 translations precise.
 
-A TensorWord is a polynomial-coefficient element of the free graded
-symmetric algebra on the frame sections of a bundle; letters are frame
-labels, reordering costs Koszul signs in the section degrees, and a repeated
-odd letter kills the word.  The deconcatenation-style coproduct splits words
-through shuffles.  Coderivations are determined by corestrictions (one map
-per arity), cohomomorphisms by corestrictions of a degree-zero family, with
-the 1/s! normalization realized as a sum over unordered set partitions.
+A word is a superalg.SuperFunction on the unshifted bundle: a term is a
+word, a generator is a letter, and polynomial coefficients come along.
+The free graded symmetric algebra on the frame sections reorders letters
+with Koszul signs in the frame degrees -a, while the function algebra uses
+the generator degrees a; the two have the same parity, so the two algebras
+are one and the same, a repeated odd letter killing the word in both.  The
+deconcatenation-style coproduct splits words through shuffles into a
+TensorPair, the tensor square.  Coderivations are determined by
+corestrictions (one map per arity), cohomomorphisms by corestrictions of a
+degree-zero family, with the 1/s! normalization realized as a sum over
+unordered set partitions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polyring import Polynomial
-from .graded import GradedBundle, normalize_tuple, set_partitions, shuffles
+from .graded import normalize_tuple, set_partitions, shuffles
 from .signs import koszul_sign, sign_pow
-
-
-def _word_normal_order(labels, bundle):
-    arr = list(labels)
-    key = lambda lab: bundle.label_index[lab]
-    sign = 1
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if key(arr[j]) > key(arr[j + 1]):
-                sign *= sign_pow(
-                    bundle.degree(arr[j]) * bundle.degree(arr[j + 1])
-                )
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-    for j in range(len(arr) - 1):
-        if arr[j] == arr[j + 1] and bundle.degree(arr[j]) % 2 != 0:
-            return tuple(arr), 0
-    return tuple(arr), sign
-
-
-class TensorWord:
-    """Sparse element of the symmetric word algebra on a bundle's frames."""
-
-    __slots__ = ("bundle", "terms")
-
-    def __init__(self, bundle, terms=None):
-        self.bundle = bundle
-        clean = {}
-        if terms:
-            for labels, coeff in terms.items():
-                if not isinstance(coeff, Polynomial):
-                    coeff = Polynomial.constant(coeff, bundle.base_coordinates)
-                if coeff.is_zero():
-                    continue
-                key, sign = _word_normal_order(tuple(labels), bundle)
-                if sign == 0:
-                    continue
-                if sign == -1:
-                    coeff = -coeff
-                if key in clean:
-                    clean[key] = clean[key] + coeff
-                    if clean[key].is_zero():
-                        del clean[key]
-                else:
-                    clean[key] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, bundle):
-        return cls(bundle, {})
-
-    @classmethod
-    def letter(cls, label, bundle):
-        one = Polynomial.constant(1, bundle.base_coordinates)
-        return cls(bundle, {(label,): one})
-
-    @classmethod
-    def from_section(cls, section):
-        return cls(section.bundle, {(lab,): c for lab, c in section.components.items()})
-
-    def to_section(self):
-        from .graded import Section
-
-        comps = {}
-        for key, coeff in self.terms.items():
-            if len(key) != 1:
-                raise ValueError("word is not a single letter: %r" % (key,))
-            comps[key[0]] = comps.get(
-                key[0], Polynomial.zero(self.bundle.base_coordinates)
-            ) + coeff
-        return Section(self.bundle, comps)
-
-    def is_zero(self):
-        return not self.terms
-
-    def word_degree(self, key):
-        return sum(self.bundle.degree(lab) for lab in key)
-
-    def __add__(self, other):
-        if not isinstance(other, TensorWord):
-            return NotImplemented
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            if key in terms:
-                s = terms[key] + coeff
-                if s.is_zero():
-                    del terms[key]
-                else:
-                    terms[key] = s
-            else:
-                terms[key] = coeff
-        out = TensorWord.__new__(TensorWord)
-        out.bundle = self.bundle
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = TensorWord.__new__(TensorWord)
-        out.bundle = self.bundle
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        return TensorWord(
-            self.bundle, {k: c * factor for k, c in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        """Symmetric product of words."""
-        if not isinstance(other, TensorWord):
-            return NotImplemented
-        out = TensorWord.zero(self.bundle)
-        acc = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key, sign = _word_normal_order(k1 + k2, self.bundle)
-                if sign == 0:
-                    continue
-                c = c1 * c2
-                if sign == -1:
-                    c = -c
-                acc[key] = acc.get(key, Polynomial.zero(c.coordinates)) + c
-        out.terms = {k: c for k, c in acc.items() if not c.is_zero()}
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorWord):
-            return NotImplemented
-        return self.bundle.same_frames(other.bundle) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "TensorWord(0)"
-        body = " + ".join(
-            "(%s)*%s" % (c, "&".join(k) if k else "1")
-            for k, c in sorted(self.terms.items())
-        )
-        return "TensorWord(%s)" % body
+from .superalg import SuperFunction
 
 
 class TensorPair:
@@ -265,7 +128,7 @@ class MultilinearMap:
             )
         canon, sign = normalize_tuple(labels, self.source_bundle, symmetric=True)
         if sign == 0:
-            return TensorWord.zero(self.target_bundle)
+            return SuperFunction.zero(self.target_bundle)
         out = self.fn(canon)
         if sign == -1:
             out = -out
@@ -289,14 +152,14 @@ def product_of_maps(f, g):
     def fn(labels):
         bundle = f.source_bundle
         degs = [bundle.degree(lab) for lab in labels]
-        out = TensorWord.zero(f.target_bundle)
+        out = SuperFunction.zero(f.target_bundle)
         for perm in shuffles(f.arity, g.arity):
             eps = koszul_sign(perm, degs)
             first = [labels[i] for i in perm[: f.arity]]
             second = [labels[i] for i in perm[f.arity:]]
             cross = sign_pow(g.degree * sum(degs[i] for i in perm[: f.arity]))
             piece = f.value(first) * g.value(second)
-            piece = piece.scale(Fraction(eps * cross))
+            piece = piece * (eps * cross)
             out = out + piece
         return out
 
@@ -322,27 +185,23 @@ class Coderivation:
 
     def apply_key(self, key, coeff):
         bundle = self.bundle
-        out = TensorWord.zero(bundle)
+        out = SuperFunction.zero(bundle)
         degs = [bundle.degree(lab) for lab in key]
         r = len(key)
         for k, cor in self.corestrictions.items():
             if k > r:
                 continue
             for perm in shuffles(k, r - k):
-                eps = koszul_sign(perm, degs)
-                first = [key[i] for i in perm[:k]]
-                rest = tuple(key[i] for i in perm[k:])
-                head = cor.value(first)
+                head = cor.value([key[i] for i in perm[:k]])
                 if head.is_zero():
                     continue
-                tail = TensorWord(
-                    bundle, {rest: Polynomial.constant(1, bundle.base_coordinates)}
-                )
-                out = out + (head * tail).scale(Fraction(eps)).scale(coeff)
+                rest = tuple(key[i] for i in perm[k:])
+                eps = koszul_sign(perm, degs)
+                out = out + head * SuperFunction(bundle, {rest: coeff * eps})
         return out
 
     def apply(self, word):
-        out = TensorWord.zero(self.bundle)
+        out = SuperFunction.zero(self.bundle)
         for key, coeff in word.terms.items():
             out = out + self.apply_key(key, coeff)
         return out
@@ -375,9 +234,9 @@ class Cohomomorphism:
     def apply_key(self, key, coeff):
         if not key:
             # the empty word is grouplike and maps to the empty word
-            return TensorWord(self.target_bundle, {(): coeff})
+            return SuperFunction(self.target_bundle, {(): coeff})
         degs = [self.source_bundle.degree(lab) for lab in key]
-        out = TensorWord.zero(self.target_bundle)
+        out = SuperFunction.zero(self.target_bundle)
         for blocks in set_partitions(range(len(key))):
             piece = None
             for block in blocks:
@@ -389,11 +248,11 @@ class Cohomomorphism:
             else:
                 # Koszul sign of regrouping the word into the ordered blocks
                 eps = koszul_sign([i for block in blocks for i in block], degs)
-                out = out + piece.scale(Fraction(eps)).scale(coeff)
+                out = out + piece * (coeff * eps)
         return out
 
     def apply(self, word):
-        out = TensorWord.zero(self.target_bundle)
+        out = SuperFunction.zero(self.target_bundle)
         for key, coeff in word.terms.items():
             out = out + self.apply_key(key, coeff)
         return out
@@ -421,7 +280,7 @@ def _pair_apply_left(pair, op):
     """Apply a word operator to the left leg of a pair, no crossing sign."""
     out = TensorPair(pair.left_bundle, pair.right_bundle)
     for (lk, rk), c in pair.terms.items():
-        word = TensorWord(
+        word = SuperFunction(
             pair.left_bundle,
             {lk: Polynomial.constant(1, pair.left_bundle.base_coordinates)},
         )
@@ -438,7 +297,7 @@ def _pair_apply_right(pair, op, op_degree):
     for (lk, rk), c in pair.terms.items():
         ldeg = sum(pair.left_bundle.degree(lab) for lab in lk)
         sign = sign_pow(op_degree * ldeg)
-        word = TensorWord(
+        word = SuperFunction(
             pair.right_bundle,
             {rk: Polynomial.constant(1, pair.right_bundle.base_coordinates)},
         )
@@ -452,7 +311,7 @@ def _pair_coproduct_left(pair):
     """(coproduct tensor id) of a pair viewed as already-split words."""
     out = {}
     for (lk, rk), c in pair.terms.items():
-        word = TensorWord(
+        word = SuperFunction(
             pair.left_bundle,
             {lk: Polynomial.constant(1, pair.left_bundle.base_coordinates)},
         )
@@ -466,7 +325,7 @@ def _pair_coproduct_left(pair):
 def _pair_coproduct_right(pair):
     out = {}
     for (lk, rk), c in pair.terms.items():
-        word = TensorWord(
+        word = SuperFunction(
             pair.right_bundle,
             {rk: Polynomial.constant(1, pair.right_bundle.base_coordinates)},
         )
@@ -513,11 +372,11 @@ def check_cohomomorphism_law(phi, words):
         split = coproduct(word)
         rhs = TensorPair(phi.target_bundle, phi.target_bundle)
         for (lk, rk), c in split.terms.items():
-            lw = TensorWord(
+            lw = SuperFunction(
                 phi.source_bundle,
                 {lk: Polynomial.constant(1, phi.source_bundle.base_coordinates)},
             )
-            rw = TensorWord(
+            rw = SuperFunction(
                 phi.source_bundle,
                 {rk: Polynomial.constant(1, phi.source_bundle.base_coordinates)},
             )

@@ -17,10 +17,10 @@ import itertools
 
 from .polyring import Polynomial
 from .signs import (
-    sign_pow,
     chi_sign,
     koszul_sign,
     perm_sign,
+    sort_sign,
     suspension_power_sign,
     suspend_tuple_sign,
 )
@@ -302,26 +302,13 @@ def normalize_tuple(labels, bundle, symmetric=True):
     label whose symmetry forces the value to vanish (odd degree on the
     symmetric side, even degree on the antisymmetric side).
     """
-    arr = list(labels)
-    key = lambda lab: bundle.label_index[lab]
-    sign = 1
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if key(arr[j]) > key(arr[j + 1]):
-                da = bundle.degree(arr[j])
-                db = bundle.degree(arr[j + 1])
-                swap = sign_pow(da * db)
-                if not symmetric:
-                    swap = -swap
-                sign *= swap
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-    for j in range(len(arr) - 1):
-        if arr[j] == arr[j + 1]:
-            d = bundle.degree(arr[j])
-            if symmetric and d % 2 != 0:
-                return tuple(arr), 0
-            if not symmetric and d % 2 == 0:
-                return tuple(arr), 0
+    arr, sign = sort_sign(
+        labels, bundle.label_index.__getitem__, bundle.degree, symmetric
+    )
+    vanishing = 1 if symmetric else 0
+    for a, b in zip(arr, arr[1:]):
+        if a == b and bundle.degree(a) % 2 == vanishing:
+            return tuple(arr), 0
     return tuple(arr), sign
 
 

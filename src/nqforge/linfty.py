@@ -23,7 +23,6 @@ import itertools
 
 from .polyring import Polynomial
 from .graded import (
-    GradedBundle,
     Section,
     canonical_tuples,
     chi_sign,
@@ -32,7 +31,8 @@ from .graded import (
     shuffles,
 )
 from .signs import algebra_identity_sign, bracket_transfer_sign, sign_pow
-from .coalgebra import Coderivation, MultilinearMap, TensorWord
+from .coalgebra import Coderivation, MultilinearMap
+from .superalg import SuperFunction
 
 
 def apply_anchor(anchor, label, poly):
@@ -201,27 +201,32 @@ class StructureReport:
         return "StructureReport(fail at %r: %r)" % (self.witness, self.residual)
 
 
-def homotopy_residual_symmetric(struct, labels, anchor=None):
-    """Left side of the degree-+1 symmetric homotopy identity at one frame
-    tuple: sum over i+j = t+1 and (i, t-i)-shuffles of Koszul-signed
-    nestings."""
+def homotopy_residual_on_sections(struct, sections, anchor=None):
+    """Left side of the degree-+1 symmetric homotopy identity on a tuple of
+    homogeneous sections: sum over i+j = t+1 and (i, t-i)-shuffles of
+    Koszul-signed nestings.  Scaling a section by a base polynomial keeps
+    its degree, so the signs are those of the underlying frames."""
     bundle = struct.bundle
-    t = len(labels)
-    degs = [bundle.degree(lab) for lab in labels]
-    frames = [bundle.frame_section(lab) for lab in labels]
+    t = len(sections)
+    degs = [sec.degree() for sec in sections]
     total = bundle.zero_section()
     for i in range(1, t + 1):
         for perm in shuffles(i, t - i):
-            eps = koszul_sign(perm, degs)
-            inner = struct.evaluate([frames[p] for p in perm[:i]], anchor)
+            inner = struct.evaluate([sections[p] for p in perm[:i]], anchor)
             if inner.is_zero():
                 continue
             outer = struct.evaluate(
-                [inner] + [frames[p] for p in perm[i:]], anchor
+                [inner] + [sections[p] for p in perm[i:]], anchor
             )
             if not outer.is_zero():
-                total = total + outer.scale(eps)
+                total = total + outer.scale(koszul_sign(perm, degs))
     return total
+
+
+def homotopy_residual_symmetric(struct, labels, anchor=None):
+    """homotopy_residual_on_sections at one frame tuple."""
+    frames = [struct.bundle.frame_section(lab) for lab in labels]
+    return homotopy_residual_on_sections(struct, frames, anchor)
 
 
 def homotopy_residual_antisymmetric(struct, labels, anchor=None):
@@ -312,15 +317,11 @@ def antialgebra_coderivation(anti):
     homotopy identities."""
     bundle = anti.bundle
 
-    def make_fn(r):
-        def fn(labels):
-            return TensorWord.from_section(anti.value(labels))
+    def fn(labels):
+        comps = anti.value(labels).components
+        return SuperFunction(bundle, {(lab,): c for lab, c in comps.items()})
 
-        return fn
-
-    cores = {}
-    for r in anti.arities():
-        cores[r] = MultilinearMap(bundle, bundle, r, 1, make_fn(r))
+    cores = {r: MultilinearMap(bundle, bundle, r, 1, fn) for r in anti.arities()}
     return Coderivation(bundle, cores)
 
 
@@ -333,5 +334,5 @@ def basis_words(bundle, max_length):
             canon, sign = normalize_tuple(key, bundle, symmetric=True)
             if sign == 0:
                 continue
-            words.append(TensorWord(bundle, {key: one}))
+            words.append(SuperFunction(bundle, {key: one}))
     return words

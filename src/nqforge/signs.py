@@ -9,6 +9,10 @@ those take explicit positive magnitudes.
 Permutations are tuples perm with perm[k] = 0-based source index of the entry
 landing in slot k, so applying perm to (v_0, ..., v_{r-1}) yields
 (v[perm[0]], ..., v[perm[r-1]]).
+
+sort_sign is the only reordering loop in the package: perm_sign,
+koszul_sign and graded.normalize_tuple (and through it the normal order of
+every SuperFunction term) are calls to it with different keys and degrees.
 """
 
 from __future__ import annotations
@@ -21,16 +25,38 @@ def sign_pow(exponent):
     return -1 if exponent % 2 else 1
 
 
+def sort_sign(items, key, degree, symmetric=True):
+    """Stable bubble sort of items by key, returning (sorted list, sign).
+
+    The package's one reordering loop.  Each swap of adjacent entries of
+    degrees a and b costs (-1)^(a*b), negated when symmetric is false, so
+    the sign is the product of that cost over the inverted pairs.  Equal
+    keys are never swapped.  Already-sorted input, the common case, costs
+    one pass.
+    """
+    arr = list(items)
+    if len(arr) < 2:
+        return arr, 1
+    keys = list(map(key, arr))
+    flip = 0 if symmetric else 1
+    sign = 1
+    for end in range(len(arr) - 1, 0, -1):
+        swapped = False
+        for j in range(end):
+            if keys[j] > keys[j + 1]:
+                keys[j], keys[j + 1] = keys[j + 1], keys[j]
+                arr[j], arr[j + 1] = arr[j + 1], arr[j]
+                if (degree(arr[j]) * degree(arr[j + 1]) + flip) % 2:
+                    sign = -sign
+                swapped = True
+        if not swapped:
+            break
+    return arr, sign
+
+
 def perm_sign(perm):
     """Ordinary signature of a permutation tuple."""
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(len(perm) - 1 - i):
-            if perm[j] > perm[j + 1]:
-                perm[j], perm[j + 1] = perm[j + 1], perm[j]
-                sign = -sign
-    return sign
+    return sort_sign(perm, int, lambda i: 0, symmetric=False)[1]
 
 
 def koszul_sign(perm, degrees):
@@ -39,20 +65,13 @@ def koszul_sign(perm, degrees):
     Convention: transposing two adjacent entries of degrees a and b costs
     (-1)^(a*b).  degrees[i] is the degree of source entry i.
     """
-    perm = list(perm)
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(len(perm) - 1 - i):
-            if perm[j] > perm[j + 1]:
-                sign *= sign_pow(degrees[perm[j]] * degrees[perm[j + 1]])
-                perm[j], perm[j + 1] = perm[j + 1], perm[j]
-    return sign
+    return sort_sign(perm, int, degrees.__getitem__)[1]
 
 
 def chi_sign(perm, degrees):
     """Koszul sign times the signature: the antisymmetric-side twin of
     koszul_sign."""
-    return perm_sign(perm) * koszul_sign(perm, degrees)
+    return sort_sign(perm, int, degrees.__getitem__, symmetric=False)[1]
 
 
 def suspension_power_sign(i):

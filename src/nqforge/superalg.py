@@ -21,36 +21,29 @@ lives in signs.evaluation_sign.
 from __future__ import annotations
 
 from .polyring import Polynomial
-from .graded import GradedBundle, Section
+from .graded import Section, normalize_tuple
 from .signs import evaluation_sign, interior_pairing_sign, sign_pow
 
 
-def _normal_order(labels, bundle):
-    """Sort a generator word into canonical order: (key, sign), sign 0 when
-    an odd generator repeats."""
-    arr = list(labels)
-    key = lambda lab: bundle.label_index[lab]
-    sign = 1
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if key(arr[j]) > key(arr[j + 1]):
-                sign *= sign_pow(
-                    bundle.generator_degree(arr[j])
-                    * bundle.generator_degree(arr[j + 1])
-                )
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-    for j in range(len(arr) - 1):
-        if arr[j] == arr[j + 1] and bundle.generator_degree(arr[j]) % 2 != 0:
-            return tuple(arr), 0
-    return tuple(arr), sign
-
-
 class SuperFunction:
-    """Sparse polynomial in base coordinates and graded generators."""
+    """Sparse polynomial in base coordinates and graded generators.
+
+    The bundle must be the unshifted one (side "E").  Terms are brought to
+    normal order by graded.normalize_tuple, which signs reorderings by the
+    frame degree -a of each label; on the unshifted side that has the parity
+    of the generator degree a, so the signs are exactly Koszul's rule for
+    the generators.  On the shifted side a frame has degree 1-a and the
+    parities differ, so such a bundle is refused.
+
+    The same class is the symmetric word algebra on the frames
+    (coalgebra.py): a word is a term, a letter is a generator.
+    """
 
     __slots__ = ("bundle", "terms")
 
     def __init__(self, bundle, terms=None):
+        if bundle.side != "E":
+            raise ValueError("functions live on the unshifted bundle")
         self.bundle = bundle
         clean = {}
         if terms:
@@ -59,7 +52,7 @@ class SuperFunction:
                     coeff = Polynomial.constant(coeff, bundle.base_coordinates)
                 if coeff.is_zero():
                     continue
-                key, sign = _normal_order(tuple(labels), bundle)
+                key, sign = normalize_tuple(labels, bundle)
                 if sign == 0:
                     continue
                 if sign == -1:
@@ -99,7 +92,7 @@ class SuperFunction:
         return not self.terms
 
     def coefficient(self, labels):
-        key, sign = _normal_order(tuple(labels), self.bundle)
+        key, sign = normalize_tuple(labels, self.bundle)
         zero = Polynomial.zero(self.bundle.base_coordinates)
         if sign == 0:
             return zero
@@ -192,7 +185,7 @@ class SuperFunction:
             out = {}
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
-                    key, sign = _normal_order(k1 + k2, self.bundle)
+                    key, sign = normalize_tuple(k1 + k2, self.bundle)
                     if sign == 0:
                         continue
                     c = c1 * c2
@@ -575,7 +568,7 @@ def element_from_values(bundle, values):
     for labels, value in values.items():
         if value.is_zero():
             continue
-        key, sign = _normal_order(tuple(labels), bundle)
+        key, sign = normalize_tuple(labels, bundle)
         if sign == 0:
             raise ValueError(
                 "tuple %r pairs to zero with every element" % (labels,)

@@ -11,7 +11,7 @@ import time
 
 from nqforge.polyring import Polynomial, BaseMap
 from nqforge.graded import GradedBundle, canonical_tuples, normalize_tuple
-from nqforge.superalg import check_homological
+from nqforge.superalg import SuperFunction, check_homological
 from nqforge.linfty import (
     antialgebra_coderivation,
     apply_anchor,
@@ -31,7 +31,6 @@ from nqforge.algebroid import (
 from nqforge.coalgebra import (
     Cohomomorphism,
     MultilinearMap,
-    TensorWord,
     check_coassociativity,
     check_coderivation_law,
     check_cohomomorphism_law,
@@ -378,7 +377,7 @@ def test_criterion_10_coalgebra_laws():
         def level(r):
             def fn(labels):
                 table = morph.value(r, labels)
-                return TensorWord(tb, {(lab,): p for lab, p in table.items()})
+                return SuperFunction(tb, {(lab,): p for lab, p in table.items()})
 
             return MultilinearMap(sb, tb, r, 0, fn)
 

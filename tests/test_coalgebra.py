@@ -1,15 +1,11 @@
 """Word coalgebra laws on a three-generator bigraded space."""
 
-from fractions import Fraction
-
 from nqforge.polyring import Polynomial
 from nqforge.graded import GradedBundle
 from nqforge.coalgebra import (
-    Coderivation,
     Cohomomorphism,
     MultilinearMap,
     TensorPair,
-    TensorWord,
     check_coassociativity,
     check_coderivation_law,
     check_cohomomorphism_law,
@@ -17,6 +13,7 @@ from nqforge.coalgebra import (
     product_of_maps,
 )
 from nqforge.linfty import antialgebra_coderivation, basis_words
+from nqforge.superalg import SuperFunction
 from nqforge.algebroid import to_antialgebroid
 from nqforge import fixtures
 from nqforge.signs import sign_pow
@@ -26,7 +23,7 @@ ONE = Polynomial.constant(1, ())
 
 
 def word(*labels):
-    return TensorWord(B, {tuple(labels): ONE})
+    return SuperFunction(B, {tuple(labels): ONE})
 
 
 def test_word_normal_order():
@@ -88,10 +85,10 @@ def test_coderivation_law_holds_even_for_broken_brackets():
 
 def test_product_of_maps_degree_and_arity():
     def fn1(labels):
-        return TensorWord.from_section(B.frame_section("w"))
+        return SuperFunction.generator("w", B)
 
     f = MultilinearMap(B, B, 2, 0, fn1)
-    g = MultilinearMap(B, B, 1, 0, lambda labels: TensorWord.letter(labels[0], B))
+    g = MultilinearMap(B, B, 1, 0, lambda labels: SuperFunction.generator(labels[0], B))
     fg = product_of_maps(f, g)
     assert fg.arity == 3
     assert fg.degree == 0
@@ -107,7 +104,7 @@ def test_cohomomorphism_law_with_two_slot_component():
     def level(r):
         def fn(labels):
             table = morph.value(r, labels)
-            return TensorWord(tb, {(lab,): p for lab, p in table.items()})
+            return SuperFunction(tb, {(lab,): p for lab, p in table.items()})
 
         return MultilinearMap(sb, tb, r, 0, fn)
 

@@ -188,6 +188,51 @@ def test_sign_pow():
     assert isinstance(signs.sign_pow(-2), int)
 
 
+def _inversion_sign(keys, degrees, symmetric):
+    # product over inverted pairs of (-1)^(ab), negated when antisymmetric
+    sign = 1
+    for i, j in itertools.combinations(range(len(keys)), 2):
+        if keys[i] > keys[j]:
+            sign *= signs.sign_pow(degrees[i] * degrees[j] + (not symmetric))
+    return sign
+
+
+def test_sort_sign_matches_inversion_product():
+    for r in range(6):
+        for perm in itertools.permutations(range(r)):
+            for parities in itertools.product((0, 1), repeat=r):
+                # odd entries get degree -1, even ones degree 2
+                degrees = [-1 if odd else 2 for odd in parities]
+                items = list(zip(perm, degrees))
+                for symmetric in (True, False):
+                    got, sign = signs.sort_sign(
+                        items, lambda it: it[0], lambda it: it[1], symmetric
+                    )
+                    assert got == sorted(items), (perm, parities)
+                    assert sign == _inversion_sign(perm, degrees, symmetric), (
+                        perm, parities, symmetric
+                    )
+                # the wrappers index degrees by source entry
+                by_source = [0] * r
+                for slot, source in enumerate(perm):
+                    by_source[source] = degrees[slot]
+                assert signs.koszul_sign(perm, by_source) == _inversion_sign(
+                    perm, degrees, True
+                )
+                assert signs.chi_sign(perm, by_source) == _inversion_sign(
+                    perm, degrees, False
+                )
+            assert signs.perm_sign(perm) == _inversion_sign(perm, [0] * r, False)
+
+
+def test_sort_sign_is_stable_and_never_swaps_equal_keys():
+    items = [(1, "a"), (0, "b"), (1, "c"), (0, "d")]
+    got, sign = signs.sort_sign(items, lambda it: it[0], lambda it: 1)
+    assert got == [(0, "b"), (0, "d"), (1, "a"), (1, "c")]
+    # three inverted pairs of odd entries; the equal-key pairs cost nothing
+    assert sign == -1
+
+
 def test_perm_sign():
     assert signs.perm_sign((0, 1, 2)) == 1
     assert signs.perm_sign((1, 0, 2)) == -1

@@ -3,12 +3,10 @@ import pytest
 from nqforge.polyring import Polynomial
 from nqforge.graded import GradedBundle
 from nqforge.linfty import (
-    AlgebraStructure,
     AntialgebraStructure,
     apply_anchor,
     homotopy_residual_antisymmetric,
     homotopy_residual_symmetric,
-    transfer_to_algebra,
     transfer_to_antialgebra,
     verify_algebra,
     verify_antialgebra,

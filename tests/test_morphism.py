@@ -29,7 +29,6 @@ from nqforge.morphism import (
     build_phi,
     check_anchor_condition,
     check_bracket_conditions,
-    check_equivariance,
     check_over_point_reduction,
     extract_morphism,
     over_point_defect,
@@ -232,6 +231,31 @@ def test_live_binary_tuples_carry_transport_sign_one():
     # so the printed condition matches the unshifted one literally there
     for mags in [[1, 1], [1, 2]]:
         assert bracket_transfer_sign(mags) == 1, mags
+
+
+def test_transport_sign_minus_one_on_a_live_depth_four_component():
+    # n = 4 over a point: the arity-2 component on (c, c), c of magnitude 2,
+    # has transport factor -1, so the printed condition must conjugate it.
+    # The source bracket [c, c] = e is matched by d(phi_2(c, c)) = k E in the
+    # target exactly when k = 1
+    one = lambda v: Polynomial.constant(v, ())
+    src_b = GradedBundle((), {1: ["p"], 2: ["c"], 3: ["e"], 4: ["f"]})
+    tgt_b = GradedBundle((), {1: ["P"], 2: ["C"], 3: ["E"], 4: ["F"]})
+    assert bracket_transfer_sign([2, 2]) == -1
+    src = LieNAntialgebroid(src_b, {2: {("c", "c"): {"e": one(1)}}}, {})
+    tgt = LieNAntialgebroid(tgt_b, {1: {("F",): {"E": one(1)}}}, {})
+    verdicts = {}
+    for k in (1, -1, 2):
+        comps = {
+            1: {("p",): {"P": one(1)}, ("c",): {"C": one(1)}, ("e",): {"E": one(1)}},
+            2: {("c", "c"): {"F": one(k)}},
+        }
+        mor = MorphismData(src_b, tgt_b, BaseMap((), (), {}), comps)
+        rows = check_bracket_conditions(mor, src, tgt, path="general")
+        red = check_over_point_reduction(mor, src, tgt)
+        assert red.ok == rows.ok, (k, red.witness, rows.rows)
+        verdicts[k] = red.ok
+    assert verdicts == {1: True, -1: False, 2: False}
 
 
 # ----- the partition kernel against the printed ordered sum -----

@@ -24,6 +24,15 @@ def gen(lab):
     return SuperFunction.generator(lab, B)
 
 
+def test_shifted_bundle_is_refused():
+    # on the shifted side frame degrees 1-a and generator degrees a have
+    # different parities, so normal ordering by frame degree would be wrong
+    with pytest.raises(ValueError):
+        SuperFunction(B.shifted(), {("u",): ONE})
+    with pytest.raises(ValueError):
+        SuperFunction.zero(B.shifted())
+
+
 def test_odd_generators_anticommute():
     gu, gv = gen("u"), gen("v")
     assert gu * gv == -(gv * gu)
