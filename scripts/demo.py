@@ -54,12 +54,13 @@ def main():
     print("  bracket(e1, e2) =", ds.bracket([e1, e2]))
 
     banner("consequence rows")
-    for name, ok, witness in consequence_checks(algd).rows:
-        print("  %-28s %s" % (name, "ok" if ok else "FAIL %r" % (witness,)))
+    for name, outcome in consequence_checks(algd).detail:
+        status = "ok" if outcome.ok else "FAIL %r" % (outcome.witness,)
+        print("  %-28s %s" % (name, status))
 
     banner("differential-forms comparison")
     dr = de_rham_compare(algd, max_form_degree=2)
-    print("routes agree exactly:", dr.ok, "| relation to textbook:", dr.relation)
+    print("routes agree exactly:", dr.ok, "| relation to textbook:", dr.detail)
 
     banner("a morphism and a broken one")
     for name in ["tangent_squaring", "tangent_squaring_broken"]:

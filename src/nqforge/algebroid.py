@@ -7,11 +7,12 @@ moved to the unshifted side, where brackets are symmetric of degree +1 and
 the differential lives.  ce_differential builds the degree-+1 vector field
 on the function algebra from bracket and anchor data, extract_algebroid
 inverts it, and verify_algebroid cross-examines a candidate structure three
-ways: the field squares to zero on algebra generators, the frame-level
-homotopy identities with anchor corrections (plus anchor compatibility)
-hold, and the identity residuals are function-linear in every slot.  The
-three verdicts agreeing on every fixture is the correspondence this package
-exists to certify.
+ways: the field squares to zero on algebra generators (check_square), the
+frame-level homotopy identities with anchor corrections (plus anchor
+compatibility) hold (check_identities), and the identity residuals are
+function-linear in every slot (residual_linearity).  Each route returns an
+outcome.Outcome; the three verdicts agreeing on every fixture is the
+correspondence this package exists to certify.
 
 Sign conventions come from signs.py; the dictionary between elements and
 multilinear maps from superalg.evaluate_element and its inverse.
@@ -40,12 +41,12 @@ from .linfty import (
     AntialgebraStructure,
     apply_anchor,
     homotopy_residual_on_sections,
-    homotopy_residual_symmetric,
     transfer_to_algebra,
     transfer_to_antialgebra,
     verify_antialgebra,
 )
 from .derived import DerivedSetup
+from .outcome import Outcome, all_of
 
 
 def _validate_anchor(bundle, anchor):
@@ -248,38 +249,23 @@ def extract_algebroid(bundle, q):
 # ----- verification -----
 
 
-class CheckOutcome:
-    def __init__(self, ok, witness=None, detail="", vacuous=False):
-        self.ok = ok
-        self.witness = witness
-        self.detail = detail
-        self.vacuous = vacuous
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        status = "ok" if self.ok else "fail"
-        if self.vacuous:
-            status += " (vacuous)"
-        body = status if not self.witness else "%s at %r" % (status, self.witness)
-        return "CheckOutcome(%s)" % body
-
-
 class AlgebroidReport:
     """Three routes to validity: the field squares to zero, the anchored
     frame identities (with anchor compatibility) hold, and the identity
     residuals are function-linear slotwise.  agrees records whether the
-    verdicts coincide, which the correspondence theorem demands."""
+    verdicts coincide, which the correspondence theorem demands.  A pass
+    that proves nothing is left out of the comparison: a vacuous one, and
+    one whose sweep stopped below arity n+2 (complete false)."""
 
-    def __init__(self, square, identities, linearity):
+    def __init__(self, square, identities, linearity, complete=True):
         self.square = square
         self.identities = identities
         self.linearity = linearity
-        if linearity.vacuous:
-            self.agrees = square.ok == identities.ok
-        else:
-            self.agrees = square.ok == identities.ok == linearity.ok
+        verdicts = {square.ok}
+        for route in (identities, linearity):
+            if not route.ok or (complete and not route.vacuous):
+                verdicts.add(route.ok)
+        self.agrees = len(verdicts) == 1
         self.ok = square.ok and identities.ok and linearity.ok
 
     def __bool__(self):
@@ -297,8 +283,7 @@ def anchor_compatibility(anti):
     annihilates unary-bracket images of degree -2 frames, and the anchor of
     a binary bracket of degree -1 frames is the commutator of the anchors.
 
-    Returns (ok, witness); witnesses name the offending frames and
-    coordinate.
+    Witnesses name the offending frames and coordinate.
     """
     bundle = anti.bundle
     anchor = anti.anchor
@@ -312,7 +297,7 @@ def anchor_compatibility(anti):
                 row = anchor.get(lab, {})
                 total = total + comp * row.get(coord, zero)
             if not total.is_zero():
-                return False, ("unary", label, coord, total)
+                return Outcome(False, witness=("unary", label, coord, total))
     # binary brackets anchor to commutators
     ones = bundle.labels_by_magnitude.get(1, ())
     for la, lb in itertools.combinations_with_replacement(ones, 2):
@@ -324,13 +309,14 @@ def anchor_compatibility(anti):
             for lab, comp in sec.components.items():
                 if bundle.magnitude(lab) == 1:
                     lhs = lhs + comp * anchor.get(lab, {}).get(coord, zero)
-            xc = Polynomial.variable(coord, bundle.base_coordinates)
             rhs = apply_anchor(anchor, la, rowb.get(coord, zero)) - apply_anchor(
                 anchor, lb, rowa.get(coord, zero)
             )
             if lhs != rhs:
-                return False, ("representation", la, lb, coord, lhs - rhs)
-    return True, None
+                return Outcome(
+                    False, witness=("representation", la, lb, coord, lhs - rhs)
+                )
+    return Outcome(True)
 
 
 def _linearity_probes(bundle):
@@ -343,8 +329,26 @@ def _linearity_probes(bundle):
     return probes
 
 
+def check_square(anti):
+    """First route: the field of ce_differential squares to zero.  The
+    witness is the first failing name with its printed residual."""
+    sq = check_homological(ce_differential(anti))
+    if sq.ok:
+        return sq
+    return Outcome(False, witness=(sq.witness, str(sq.detail)), detail=sq.detail)
+
+
+def check_identities(anti, r_max=None):
+    """Second route: the frame identities with anchor corrections hold on
+    every tuple of arity 1..r_max (default n+2), and the anchor is
+    compatible with the brackets."""
+    ids = verify_antialgebra(anti.brackets, r_max=r_max, anchor=anti.anchor)
+    return anchor_compatibility(anti) if ids.ok else ids
+
+
 def residual_linearity(anti, r_max=None):
-    """Slotwise function-linearity of the homotopy-identity residuals.
+    """Third route: slotwise function-linearity of the homotopy-identity
+    residuals.
 
     For each arity, frame tuple, slot, and probe polynomial, the residual
     with one frame scaled by the probe must equal the probe times the plain
@@ -355,7 +359,7 @@ def residual_linearity(anti, r_max=None):
     if r_max is None:
         r_max = bundle.n + 2
     if not bundle.base_coordinates:
-        return CheckOutcome(True, vacuous=True, detail="rank-zero base")
+        return Outcome(True, vacuous=True, detail="rank-zero base")
     probes = _linearity_probes(bundle)
     labels = bundle.labels()
     struct = anti.brackets
@@ -363,7 +367,7 @@ def residual_linearity(anti, r_max=None):
     for t in range(1, r_max + 1):
         for key in canonical_tuples(labels, t):
             frames = [bundle.frame_section(lab) for lab in key]
-            plain = homotopy_residual_symmetric(struct, key, anchor)
+            plain = homotopy_residual_on_sections(struct, frames, anchor)
             for slot in range(t):
                 for probe in probes:
                     scaled = list(frames)
@@ -371,52 +375,27 @@ def residual_linearity(anti, r_max=None):
                     bent = homotopy_residual_on_sections(struct, scaled, anchor)
                     defect = bent - plain.scale(probe)
                     if not defect.is_zero():
-                        return CheckOutcome(
+                        return Outcome(
                             False,
                             witness=(t, key, slot, str(probe)),
                             detail=repr(defect),
                         )
-    return CheckOutcome(True)
+    return Outcome(True)
 
 
 def verify_algebroid(a, r_max=None):
-    """Cross-examine an algebroid three ways; see AlgebroidReport."""
+    """Cross-examine an algebroid three ways, sweeping arities 1..r_max
+    (default n+2); see AlgebroidReport."""
     anti = _as_antialgebroid(a)
-    bundle = anti.bundle
-    if r_max is None:
-        r_max = bundle.n + 2
-
-    q = ce_differential(anti)
-    sq = check_homological(q)
-    square = CheckOutcome(sq.ok, witness=None if sq.ok else (sq.witness, str(sq.residual)))
-
-    ids = verify_antialgebra(anti.brackets, r_max=r_max, anchor=anti.anchor)
-    if ids.ok:
-        comp_ok, comp_witness = anchor_compatibility(anti)
-        identities = CheckOutcome(comp_ok, witness=comp_witness)
-    else:
-        identities = CheckOutcome(False, witness=ids.witness, detail=repr(ids.residual))
-
-    linearity = residual_linearity(anti, r_max=r_max)
-    return AlgebroidReport(square, identities, linearity)
+    return AlgebroidReport(
+        check_square(anti),
+        check_identities(anti, r_max),
+        residual_linearity(anti, r_max),
+        complete=r_max is None or r_max >= anti.n + 2,
+    )
 
 
 # ----- consequences -----
-
-
-class ConsequenceReport:
-    def __init__(self, rows):
-        self.rows = rows
-        self.ok = all(ok for _, ok, _ in rows)
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        body = "; ".join(
-            "%s:%s" % (name, "ok" if ok else "FAIL") for name, ok, _ in self.rows
-        )
-        return "ConsequenceReport(%s)" % body
 
 
 def consequence_checks(a):
@@ -424,100 +403,60 @@ def consequence_checks(a):
     the anchor kills unary-bracket images, the anchor represents the binary
     bracket by vector-field commutators, the nested-commutator brackets of
     the differential reproduce the symmetric brackets up to (-1)^r, and the
-    contraction-of-the-differential anchor matches the declared one."""
+    contraction-of-the-differential anchor matches the declared one.
+
+    Returns the conjunction of the named rows (see outcome.all_of)."""
     anti = _as_antialgebroid(a)
+    setup = DerivedSetup(anti.bundle, ce_differential(anti))
+    return all_of([
+        ("anchor-compatibility", anchor_compatibility(anti)),
+        ("derived-brackets-match", _derived_brackets_match(anti, setup)),
+        ("derived-anchor-matches", _derived_anchor_matches(anti, setup)),
+        ("lower-degree-anchor-vanishes", _lower_anchor_vanishes(anti, setup)),
+    ])
+
+
+def _derived_brackets_match(anti, setup):
     bundle = anti.bundle
-    rows = []
-
-    comp_ok, comp_witness = anchor_compatibility(anti)
-    rows.append(("anchor-compatibility", comp_ok, comp_witness))
-
-    q = ce_differential(anti)
-    setup = DerivedSetup(bundle, q)
-    labels = bundle.labels()
-
-    ok = True
-    witness = None
     for r in range(1, bundle.n + 2):
-        for key in canonical_tuples(labels, r):
+        for key in canonical_tuples(bundle.labels(), r):
             frames = [bundle.frame_section(lab) for lab in key]
             derived = setup.bracket(frames)
             declared = anti.brackets.value(key).scale(derived_to_symmetric_sign(r))
             if derived != declared:
-                ok = False
-                witness = (r, key, repr(derived - declared))
-                break
-        if not ok:
-            break
-    rows.append(("derived-brackets-match", ok, witness))
+                return Outcome(False, witness=(r, key, repr(derived - declared)))
+    return Outcome(True)
 
-    ok = True
-    witness = None
+
+def _derived_anchor_matches(anti, setup):
+    bundle = anti.bundle
+    coords = bundle.base_coordinates
     for label in bundle.labels_by_magnitude.get(1, ()):
         u = bundle.frame_section(label)
         row = anti.anchor.get(label, {})
-        for coord in bundle.base_coordinates:
-            got = setup.anchor_action(
-                u, Polynomial.variable(coord, bundle.base_coordinates)
-            )
-            want = row.get(coord, Polynomial.zero(bundle.base_coordinates))
+        for coord in coords:
+            got = setup.anchor_action(u, Polynomial.variable(coord, coords))
+            want = row.get(coord, Polynomial.zero(coords))
             if got != want:
-                ok = False
-                witness = (label, coord, str(got), str(want))
-                break
-        if not ok:
-            break
-    rows.append(("derived-anchor-matches", ok, witness))
+                return Outcome(False, witness=(label, coord, str(got), str(want)))
+    return Outcome(True)
 
-    ok = True
-    witness = None
-    for label in labels:
+
+def _lower_anchor_vanishes(anti, setup):
+    bundle = anti.bundle
+    coords = bundle.base_coordinates
+    for label in bundle.labels():
         if bundle.magnitude(label) < 2:
             continue
         u = bundle.frame_section(label)
-        for coord in bundle.base_coordinates:
-            got = setup.anchor_action(
-                u, Polynomial.variable(coord, bundle.base_coordinates)
-            )
+        for coord in coords:
+            got = setup.anchor_action(u, Polynomial.variable(coord, coords))
             if not got.is_zero():
-                ok = False
-                witness = (label, coord, str(got))
-                break
-        if not ok:
-            break
-    rows.append(("lower-degree-anchor-vanishes", ok, witness))
-
-    return ConsequenceReport(rows)
+                return Outcome(False, witness=(label, coord, str(got)))
+    return Outcome(True)
 
 
 # ----- the n = 1 comparison with the classical operator -----
-
-
-class DeRhamReport:
-    """Outcome of the three-route comparison on a classical (n = 1)
-    algebroid: the transported differential, the shifted-side formula, and
-    the textbook alternating-sum formula.
-
-    transport_matches_formula must always hold; relation records how the
-    pair relates to the textbook operator: "opposite" means the transported
-    operator is exactly minus the textbook one on every form and tuple
-    (the global convention mirror), "textbook" would mean equality.
-    """
-
-    def __init__(self, ok, relation, witness=None):
-        self.ok = ok
-        self.relation = relation
-        self.witness = witness
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return "DeRhamReport(ok=%r, relation=%r, witness=%r)" % (
-            self.ok,
-            self.relation,
-            self.witness,
-        )
 
 
 def _form_tuples(labels, s):
@@ -567,10 +506,10 @@ def de_rham_compare(algd, max_form_degree=3):
     over 2-subsets with plain signatures, minus the anchor sum over
     1-subsets with plain signatures.  Route three is the textbook operator
     with 0-based alternating signs.  Routes one and two must agree exactly;
-    the report records whether they equal the textbook operator or its
-    global negative (they are its global negative under this package's
-    conventions, and the comparison fails unless one relation holds
-    uniformly).
+    the outcome's detail records whether they equal the textbook operator
+    ("textbook") or its global negative ("opposite", which is what this
+    package's conventions give), and the comparison fails unless one
+    relation holds uniformly.
     """
     if algd.n != 1:
         raise ValueError("the classical comparison needs n = 1")
@@ -651,9 +590,8 @@ def de_rham_compare(algd, max_form_degree=3):
 
             for t in _form_tuples(labels, s + 1):
                 if route_one[t] != route_two[t]:
-                    return DeRhamReport(
+                    return Outcome(
                         False,
-                        relation=None,
                         witness=("transport-vs-formula", s, t,
                                  str(route_one[t]), str(route_two[t])),
                     )
@@ -665,12 +603,10 @@ def de_rham_compare(algd, max_form_degree=3):
                 elif a_val == -c_val:
                     relations.add("opposite")
                 else:
-                    return DeRhamReport(
+                    return Outcome(
                         False,
-                        relation=None,
                         witness=("vs-textbook", s, t, str(a_val), str(c_val)),
                     )
     if len(relations) > 1:
-        return DeRhamReport(False, relation=None, witness=("mixed", relations))
-    relation = relations.pop() if relations else "textbook"
-    return DeRhamReport(True, relation=relation)
+        return Outcome(False, witness=("mixed", relations))
+    return Outcome(True, detail=relations.pop() if relations else "textbook")

@@ -9,9 +9,12 @@ Subcommands:
     nqforge check-morphism FILE   geometric and algebraic morphism conditions
 
 Every subcommand accepts --json for machine-readable output, --max-arity to
-cap the swept arities, and --seed for the randomized spot checks.  Exit
-status: 0 when every check passes, 1 when a check fails (the report then
-carries a witness), 2 on unusable input.
+cap the swept arities, and --seed for the randomized spot checks.  A sweep
+that passes but stops below the arity its theorem needs (n+2 for the
+identity and linearity routes, n+1 for the bracket conditions) has status
+"incomplete", and the agreement rows leave it out.  Exit status: 0 when no
+check fails, 1 when a check fails (the report then carries a witness), 2 on
+unusable input.
 """
 
 from __future__ import annotations
@@ -25,22 +28,27 @@ import time
 from .polyring import Polynomial
 from .superalg import SuperFunction
 from .algebroid import (
+    AlgebroidReport,
     _as_antialgebroid,
     ce_differential,
+    check_identities,
+    check_square,
     consequence_checks,
     extract_algebroid,
+    residual_linearity,
     to_algebroid,
     to_antialgebroid,
-    verify_algebroid,
 )
 from .morphism import (
     MorphismReport,
+    bracket_path,
     build_phi,
     check_anchor_condition,
     check_bracket_conditions,
     check_equivariance,
     extract_morphism,
 )
+from .outcome import Outcome
 from . import io as structio
 
 
@@ -55,42 +63,45 @@ def _json_safe(value):
 
 
 class Report:
-    """Per-check status lines with timing; a witness is recorded exactly
-    when the check fails."""
+    """Per-check status lines with timing.  A check is a function returning
+    an Outcome; its status is "pass", "fail" (recorded with the witness) or
+    "incomplete": a non-vacuous pass of a sweep that stopped below the
+    arity its theorem needs (complete false)."""
 
     def __init__(self, command, path):
         self.command = command
         self.path = path
         self.rows = []
 
-    def check(self, name, fn):
+    def check(self, name, fn, complete=True):
         start = time.perf_counter()
-        ok, witness = fn()
+        outcome = fn()
         seconds = time.perf_counter() - start
-        self.rows.append((name, bool(ok), None if ok else witness, seconds))
-        return bool(ok)
+        if not outcome.ok:
+            status = "fail"
+        elif complete or outcome.vacuous:
+            status = "pass"
+        else:
+            status = "incomplete"
+        self.rows.append((name, status, outcome.witness, seconds))
+        return outcome
 
     @property
     def ok(self):
-        return all(ok for _, ok, _, _ in self.rows)
+        return all(status != "fail" for _, status, _, _ in self.rows)
 
     def render_text(self, out):
         print("%s %s" % (self.command, self.path), file=out)
-        for name, ok, witness, seconds in self.rows:
-            status = "PASS" if ok else "FAIL"
-            print("  [%s] %s (%.3fs)" % (status, name, seconds), file=out)
+        for name, status, witness, seconds in self.rows:
+            print("  [%s] %s (%.3fs)" % (status.upper(), name, seconds), file=out)
             if witness is not None:
-                print("         witness: %r" % (witness,), file=out)
+                print("         witness: %s" % json.dumps(_json_safe(witness)), file=out)
         print("result: %s" % ("PASS" if self.ok else "FAIL"), file=out)
 
     def to_json(self, extra=None):
         checks = []
-        for name, ok, witness, seconds in self.rows:
-            row = {
-                "name": name,
-                "status": "pass" if ok else "fail",
-                "seconds": round(seconds, 6),
-            }
+        for name, status, witness, seconds in self.rows:
+            row = {"name": name, "status": status, "seconds": round(seconds, 6)}
             if witness is not None:
                 row["witness"] = _json_safe(witness)
             checks.append(row)
@@ -116,40 +127,43 @@ def _finish(args, report, extra=None, text_body=None):
     return 0 if report.ok else 1
 
 
-def _outcome(outcome):
-    return outcome.ok, outcome.witness
-
-
 # ----- verify -----
 
 
 def cmd_verify(args):
     struct, _ = structio.load_structure(args.file)
+    anti = _as_antialgebroid(struct)
+    r_max = args.max_arity
+    complete = r_max is None or r_max >= anti.n + 2
     report = Report("verify", args.file)
-    res = verify_algebroid(struct, r_max=args.max_arity)
-    report.check("differential squares to zero", lambda: _outcome(res.square))
-    report.check(
+    square = report.check(
+        "differential squares to zero", lambda: check_square(anti)
+    )
+    identities = report.check(
         "frame identities with anchor corrections",
-        lambda: _outcome(res.identities),
+        lambda: check_identities(anti, r_max),
+        complete,
     )
-    report.check(
+    linearity = report.check(
         "identity residuals are function-linear",
-        lambda: _outcome(res.linearity),
+        lambda: residual_linearity(anti, r_max),
+        complete,
     )
+    res = AlgebroidReport(square, identities, linearity, complete)
     report.check(
         "routes agree",
-        lambda: (
+        lambda: Outcome(
             res.agrees,
             {
-                "square": res.square.ok,
-                "identities": res.identities.ok,
-                "linearity": res.linearity.ok,
+                "square": square.ok,
+                "identities": identities.ok,
+                "linearity": linearity.ok,
             },
         ),
     )
-    cons = consequence_checks(struct)
-    for name, ok, witness in cons.rows:
-        report.check(name, lambda ok=ok, witness=witness: (ok, witness))
+    # the rows come from one sweep, so each row's time reads zero
+    for name, outcome in consequence_checks(anti).detail:
+        report.check(name, lambda outcome=outcome: outcome)
     return _finish(args, report)
 
 
@@ -190,11 +204,7 @@ def cmd_from_q(args):
     if anti.brackets.tables or anti.anchor:
         report.check(
             "declared tables match the extracted ones",
-            lambda: (
-                extracted.brackets.tables == anti.brackets.tables
-                and extracted.anchor == anti.anchor,
-                _table_mismatch(anti, extracted),
-            ),
+            lambda: _tables_match(anti, extracted),
         )
     out = structio.structure_to_dict(extracted)
     if args.json:
@@ -202,31 +212,27 @@ def cmd_from_q(args):
     return _finish(args, report, text_body=json.dumps(out, indent=2))
 
 
-def _table_mismatch(declared, extracted):
+def _tables_match(declared, extracted):
+    """Same bracket tables and anchor; the witness prints both sides of the
+    first part that differs."""
     if declared.anchor != extracted.anchor:
-        return {
+        return Outcome(False, {
             "anchor declared": _json_safe(
                 {l: {c: str(p) for c, p in r.items()} for l, r in declared.anchor.items()}
             ),
             "anchor extracted": _json_safe(
                 {l: {c: str(p) for c, p in r.items()} for l, r in extracted.anchor.items()}
             ),
-        }
-    return {
-        "brackets declared": structio.tables_to_dict(declared.brackets),
-        "brackets extracted": structio.tables_to_dict(extracted.brackets),
-    }
+        })
+    if declared.brackets.tables != extracted.brackets.tables:
+        return Outcome(False, {
+            "brackets declared": structio.tables_to_dict(declared.brackets),
+            "brackets extracted": structio.tables_to_dict(extracted.brackets),
+        })
+    return Outcome(True)
 
 
 # ----- roundtrip -----
-
-
-def _derivations_equal(a, b):
-    names = set(a.images) | set(b.images)
-    for name in sorted(names):
-        if a.image(name) != b.image(name):
-            return False, name
-    return True, None
 
 
 def cmd_roundtrip(args):
@@ -238,7 +244,7 @@ def cmd_roundtrip(args):
         back = extract_morphism(phi)
         report.check(
             "morphism -> algebra map -> morphism",
-            lambda: (
+            lambda: Outcome(
                 back.components == morph.components
                 and back.base_map.images == morph.base_map.images,
                 {"recovered components": _json_safe(
@@ -253,10 +259,9 @@ def cmd_roundtrip(args):
         )
         report.check(
             "printer then parser is the identity",
-            lambda: (
+            lambda: Outcome(
                 redone[0].components == morph.components
-                and redone[0].base_map.images == morph.base_map.images,
-                None,
+                and redone[0].base_map.images == morph.base_map.images
             ),
         )
         return _finish(args, report)
@@ -266,67 +271,49 @@ def cmd_roundtrip(args):
     generated = ce_differential(anti)
     back = extract_algebroid(anti.bundle, generated)
     report.check(
-        "brackets -> field -> brackets",
-        lambda: (
-            back.brackets.tables == anti.brackets.tables
-            and back.anchor == anti.anchor,
-            _table_mismatch(anti, back),
-        ),
+        "brackets -> field -> brackets", lambda: _tables_match(anti, back)
     )
     if struct.bundle.side == "sE":
         transferred = to_algebroid(to_antialgebroid(struct))
     else:
         transferred = to_antialgebroid(to_algebroid(struct))
     report.check(
-        "degree shift there and back",
-        lambda: (
-            transferred.brackets.tables == struct.brackets.tables
-            and transferred.anchor == struct.anchor,
-            _table_mismatch(struct, transferred),
-        ),
+        "degree shift there and back", lambda: _tables_match(struct, transferred)
     )
     if q is not None:
         extracted = extract_algebroid(anti.bundle, q)
         if anti.brackets.tables or anti.anchor:
             report.check(
                 "declared field extracts to the declared brackets",
-                lambda: (
-                    extracted.brackets.tables == anti.brackets.tables
-                    and extracted.anchor == anti.anchor,
-                    _table_mismatch(anti, extracted),
-                ),
+                lambda: _tables_match(anti, extracted),
             )
             report.check(
                 "declared brackets generate the declared field",
-                lambda: _q_mismatch(q, generated),
+                lambda: _q_match(q, generated),
             )
         else:
             regenerated = ce_differential(extracted)
             report.check(
                 "field survives extraction and regeneration",
-                lambda: _q_mismatch(q, regenerated),
+                lambda: _q_match(q, regenerated),
             )
     redone, _ = structio.structure_from_dict(structio.structure_to_dict(struct))
     report.check(
-        "printer then parser is the identity",
-        lambda: (
-            redone.brackets.tables == struct.brackets.tables
-            and redone.anchor == struct.anchor,
-            _table_mismatch(struct, redone),
-        ),
+        "printer then parser is the identity", lambda: _tables_match(struct, redone)
     )
     return _finish(args, report)
 
 
-def _q_mismatch(declared, regenerated):
-    same, name = _derivations_equal(declared, regenerated)
-    if same:
-        return True, None
-    return False, {
-        "generator": name,
-        "declared": str(declared.image(name)),
-        "from brackets": str(regenerated.image(name)),
-    }
+def _q_match(declared, regenerated):
+    """Same image on every generator; the witness is the first that differs."""
+    for name in sorted(set(declared.images) | set(regenerated.images)):
+        if declared.image(name) != regenerated.image(name):
+            return Outcome(False, {
+                "generator": name,
+                "declared": str(declared.image(name)),
+                "from brackets": str(regenerated.image(name)),
+            })
+    return Outcome(True)
 
 
 # ----- check-morphism -----
@@ -350,23 +337,28 @@ def _random_superfunction(rng, bundle, degree=2):
 
 def cmd_check_morphism(args):
     morph, source, target = structio.load_morphism(args.file)
+    t_max = args.max_arity
+    complete = t_max is None or t_max >= morph.n + 1
     report = Report("check-morphism", args.file)
-    anchor = check_anchor_condition(morph, source, target)
-    report.check("anchor condition", lambda: _outcome(anchor))
-    brackets = check_bracket_conditions(
-        morph, source, target, t_max=args.max_arity
+    anchor = report.check(
+        "anchor condition", lambda: check_anchor_condition(morph, source, target)
     )
-    for t, ok, witness in brackets.rows:
+    brackets = check_bracket_conditions(morph, source, target, t_max=t_max)
+    # the rows come from one sweep, so each row's time reads zero
+    for t, outcome in brackets.detail:
         report.check(
-            "bracket condition, arity %d (%s path)" % (t, brackets.path),
-            lambda ok=ok, witness=witness: (ok, witness),
+            "bracket condition, arity %d (%s path)" % (t, bracket_path(morph)),
+            lambda outcome=outcome: outcome,
+            complete,
         )
-    equivariance = check_equivariance(morph, source, target)
-    report.check("differential equivariance", lambda: _outcome(equivariance))
-    summary = MorphismReport(anchor, brackets, equivariance)
+    equivariance = report.check(
+        "differential equivariance",
+        lambda: check_equivariance(morph, source, target),
+    )
+    summary = MorphismReport(anchor, brackets, equivariance, complete)
     report.check(
         "formulations agree",
-        lambda: (
+        lambda: Outcome(
             summary.agrees,
             {
                 "geometric": summary.geometric_ok,
@@ -383,8 +375,8 @@ def cmd_check_morphism(args):
             a = _random_superfunction(rng, tgt_bundle)
             b = _random_superfunction(rng, tgt_bundle)
             if phi.apply(a * b) != phi.apply(a) * phi.apply(b):
-                return False, {"a": str(a), "b": str(b)}
-        return True, None
+                return Outcome(False, {"a": str(a), "b": str(b)})
+        return Outcome(True)
 
     report.check("random multiplicativity spot check", multiplicativity)
     return _finish(args, report)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from .polyring import Polynomial
 from .graded import normalize_tuple, set_partitions, shuffles
+from .outcome import Outcome
 from .signs import koszul_sign, sign_pow
 from .superalg import SuperFunction
 
@@ -261,21 +262,6 @@ class Cohomomorphism:
 # ----- law checks -----
 
 
-class LawReport:
-    def __init__(self, ok, witness=None, residual=None):
-        self.ok = ok
-        self.witness = witness
-        self.residual = residual
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "LawReport(ok)"
-        return "LawReport(fail at %r)" % (self.witness,)
-
-
 def _pair_apply_left(pair, op):
     """Apply a word operator to the left leg of a pair, no crossing sign."""
     out = TensorPair(pair.left_bundle, pair.right_bundle)
@@ -346,8 +332,8 @@ def check_coassociativity(bundle, words):
         for key in sorted(keys):
             zero = Polynomial.zero(bundle.base_coordinates)
             if left.get(key, zero) != right.get(key, zero):
-                return LawReport(False, witness=(word, key))
-    return LawReport(True)
+                return Outcome(False, witness=(word, key))
+    return Outcome(True)
 
 
 def check_coderivation_law(delta, words):
@@ -360,8 +346,8 @@ def check_coderivation_law(delta, words):
             split, delta, delta.degree
         )
         if not (lhs - rhs).is_zero():
-            return LawReport(False, witness=word, residual=lhs - rhs)
-    return LawReport(True)
+            return Outcome(False, witness=word, detail=lhs - rhs)
+    return Outcome(True)
 
 
 def check_cohomomorphism_law(phi, words):
@@ -386,5 +372,5 @@ def check_cohomomorphism_law(phi, words):
                 for k2, c2 in ri.terms.items():
                     rhs.add_term(k1, k2, c * c1 * c2)
         if not (lhs - rhs).is_zero():
-            return LawReport(False, witness=word, residual=lhs - rhs)
-    return LawReport(True)
+            return Outcome(False, witness=word, detail=lhs - rhs)
+    return Outcome(True)

@@ -32,6 +32,7 @@ from .graded import (
 )
 from .signs import algebra_identity_sign, bracket_transfer_sign, sign_pow
 from .coalgebra import Coderivation, MultilinearMap
+from .outcome import Outcome
 from .superalg import SuperFunction
 
 
@@ -183,24 +184,6 @@ class AlgebraStructure(_BracketFamily):
         return -1
 
 
-class StructureReport:
-    """Outcome of a homotopy-identity sweep: ok, or the first failing
-    (arity, frame tuple) with its residual section."""
-
-    def __init__(self, ok, witness=None, residual=None):
-        self.ok = ok
-        self.witness = witness
-        self.residual = residual
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "StructureReport(ok)"
-        return "StructureReport(fail at %r: %r)" % (self.witness, self.residual)
-
-
 def homotopy_residual_on_sections(struct, sections, anchor=None):
     """Left side of the degree-+1 symmetric homotopy identity on a tuple of
     homogeneous sections: sum over i+j = t+1 and (i, t-i)-shuffles of
@@ -259,8 +242,8 @@ def _sweep(struct, residual_fn, r_max, anchor):
         for key in canonical_tuples(labels, t):
             res = residual_fn(struct, key, anchor)
             if not res.is_zero():
-                return StructureReport(False, witness=(t, key), residual=res)
-    return StructureReport(True)
+                return Outcome(False, witness=(t, key), detail=res)
+    return Outcome(True)
 
 
 def verify_antialgebra(struct, r_max=None, anchor=None):

@@ -44,7 +44,8 @@ from .signs import (
 )
 from .superalg import SuperFunction, element_from_values, evaluate_element
 from .linfty import apply_anchor
-from .algebroid import CheckOutcome, _as_algebroid, _as_antialgebroid, ce_differential
+from .algebroid import _as_algebroid, _as_antialgebroid, ce_differential
+from .outcome import Outcome, all_of
 
 
 def _acc(target, label, poly):
@@ -306,26 +307,8 @@ def check_anchor_condition(morph, source, target):
             ):
                 rhs = rhs + f * pull(apply_anchor(tgt.anchor, zeta, gvar))
             if lhs != rhs:
-                return CheckOutcome(False, witness=(x, g, str(lhs - rhs)))
-    return CheckOutcome(True)
-
-
-class BracketConditionReport:
-    """Per-arity outcomes of the bracket compatibility sweep."""
-
-    def __init__(self, rows, path):
-        self.rows = rows
-        self.path = path
-        self.ok = all(ok for _, ok, _ in rows)
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        body = "; ".join(
-            "t=%d:%s" % (t, "ok" if ok else "FAIL") for t, ok, _ in self.rows
-        )
-        return "BracketConditionReport(%s, path=%s)" % (body, self.path)
+                return Outcome(False, witness=(x, g, str(lhs - rhs)))
+    return Outcome(True)
 
 
 def _bracket_row(morph, src, labels, degs, acc):
@@ -436,20 +419,28 @@ def _simplified_defect(morph, src, tgt, labels):
     return _clean(acc)
 
 
+def bracket_path(morph):
+    """The bracket condition shape "auto" picks for a morphism."""
+    return "simplified" if morph.is_base_preserving() else "general"
+
+
 def check_bracket_conditions(morph, source, target, path="auto", t_max=None):
     """Sweep the bracket compatibility condition over all frame tuples of
     arity 1..n+1 (or 1..t_max when given).
 
     path "auto" picks the simplified base-preserving form when the base map
-    is the identity and the general different-base form otherwise; passing
-    "general" or "simplified" forces a form (the simplified one requires a
-    base-preserving morphism).  The two forms are checked against each
-    other in the test suite, not merged here.
+    is the identity and the general different-base form otherwise (see
+    bracket_path); passing "general" or "simplified" forces a form (the
+    simplified one requires a base-preserving morphism).  The two forms are
+    checked against each other in the test suite, not merged here.
+
+    Returns the conjunction of one row per arity (see outcome.all_of); a
+    row's witness is the first failing frame tuple with its defect.
     """
     src = _as_antialgebroid(source)
     tgt = _as_antialgebroid(target)
     if path == "auto":
-        path = "simplified" if morph.is_base_preserving() else "general"
+        path = bracket_path(morph)
     if path == "simplified" and not morph.is_base_preserving():
         raise ValueError("simplified path needs a base-preserving morphism")
     defect_fn = _simplified_defect if path == "simplified" else _general_defect
@@ -458,19 +449,18 @@ def check_bracket_conditions(morph, source, target, path="auto", t_max=None):
         t_max = morph.n + 1
     rows = []
     for t in range(1, t_max + 1):
-        ok = True
-        witness = None
+        outcome = Outcome(True)
         for key in canonical_tuples(labels, t):
             canon, sign = normalize_tuple(key, morph.source_bundle, True)
             if sign == 0:
                 continue
             defect = defect_fn(morph, src, tgt, key)
             if defect:
-                ok = False
                 witness = (key, {lab: str(p) for lab, p in defect.items()})
+                outcome = Outcome(False, witness=witness)
                 break
-        rows.append((t, ok, witness))
-    return BracketConditionReport(rows, path)
+        rows.append((t, outcome))
+    return all_of(rows)
 
 
 def check_morphism(morph, source, target):
@@ -504,28 +494,32 @@ def check_equivariance(morph_or_phi, source, target):
         lhs = q_src.apply(image)
         rhs = phi.apply(q_tgt.image(coord))
         if lhs != rhs:
-            return CheckOutcome(False, witness=("coordinate", coord))
+            return Outcome(False, witness=("coordinate", coord))
     for lab in tgt_bundle.labels():
         lhs = q_src.apply(phi.generator_images[lab])
         rhs = phi.apply(q_tgt.image(lab))
         if lhs != rhs:
-            return CheckOutcome(False, witness=("generator", lab))
-    return CheckOutcome(True)
+            return Outcome(False, witness=("generator", lab))
+    return Outcome(True)
 
 
 class MorphismReport:
     """Both formulations side by side.  geometric is anchor plus brackets,
     algebraic is equivariance of the induced algebra morphism, and agrees
     records the coincidence of verdicts that the correspondence theorem
-    demands on morphisms and non-morphisms alike."""
+    demands on morphisms and non-morphisms alike.  A geometric pass whose
+    bracket sweep stopped below arity n+1 (complete false) proves nothing,
+    so it agrees with either algebraic verdict."""
 
-    def __init__(self, anchor, brackets, equivariance):
+    def __init__(self, anchor, brackets, equivariance, complete=True):
         self.anchor = anchor
         self.brackets = brackets
         self.equivariance = equivariance
         self.geometric_ok = anchor.ok and brackets.ok
         self.algebraic_ok = equivariance.ok
-        self.agrees = self.geometric_ok == self.algebraic_ok
+        self.agrees = self.geometric_ok == self.algebraic_ok or (
+            self.geometric_ok and not complete
+        )
         self.ok = self.geometric_ok and self.algebraic_ok
 
     def __bool__(self):
@@ -629,8 +623,6 @@ def check_over_point_reduction(morph, source, target):
     source = _as_algebroid(source)
     target = _as_algebroid(target)
     labels = morph.source_bundle.labels()
-    ok = True
-    witness = None
     for t in range(1, morph.n + 2):
         for key in canonical_tuples(labels, t):
             canon, sign = normalize_tuple(key, morph.source_bundle, True)
@@ -638,9 +630,6 @@ def check_over_point_reduction(morph, source, target):
                 continue
             defect = over_point_defect(morph, source, target, key)
             if defect:
-                ok = False
                 witness = (t, key, {lab: str(p) for lab, p in defect.items()})
-                break
-        if not ok:
-            break
-    return CheckOutcome(ok, witness=witness)
+                return Outcome(False, witness=witness)
+    return Outcome(True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from .polyring import Polynomial
 from .graded import Section, normalize_tuple
+from .outcome import Outcome
 from .signs import evaluation_sign, interior_pairing_sign, sign_pow
 
 
@@ -499,35 +500,18 @@ def extract_section(deriv):
 # ----- homological check -----
 
 
-class SquareReport:
-    """Outcome of squaring an odd vector field on all algebra generators."""
-
-    def __init__(self, ok, witness=None, residual=None):
-        self.ok = ok
-        self.witness = witness
-        self.residual = residual
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "SquareReport(ok)"
-        return "SquareReport(fail at %r: %s)" % (self.witness, self.residual)
-
-
 def check_homological(q):
     """Verify q(q(v)) = 0 for every base coordinate and generator v.
 
-    Returns a SquareReport whose witness is the first failing name in
-    canonical order together with the residual element.
+    The witness is the first failing name in canonical order, the detail
+    its residual element.
     """
     bundle = q.bundle
     for name in list(bundle.base_coordinates) + bundle.labels():
         res = q.apply(q.image(name))
         if not res.is_zero():
-            return SquareReport(False, witness=name, residual=res)
-    return SquareReport(True)
+            return Outcome(False, witness=name, detail=res)
+    return Outcome(True)
 
 
 # ----- the evaluation dictionary -----

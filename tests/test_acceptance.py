@@ -230,7 +230,7 @@ def test_criterion_07_de_rham_routes_exact():
             ok = ok and rep.ok and rep.witness is None
             # the two transported routes agree with each other exactly and
             # run opposite to the textbook normalization, which is recorded
-            ok = ok and rep.relation == "opposite"
+            ok = ok and rep.detail == "opposite"
     assert sw.elapsed < 30
     _line(7, "transported differential matches the shifted formula exactly",
           ok, sw.elapsed)

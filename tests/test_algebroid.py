@@ -112,11 +112,19 @@ def test_verify_algebroid_r_max_truncates():
     assert rep.identities.ok
 
 
+def test_truncated_routes_are_left_out_of_agreement():
+    structures = list(fixtures.all_structures().items()) + list(
+        fixtures.perturbed_structures().items()
+    )
+    for name, algd in structures:
+        assert verify_algebroid(algd, r_max=1).agrees, name
+
+
 def test_consequence_rows_pass_on_fixtures():
     for name, algd in fixtures.all_structures().items():
         rep = consequence_checks(algd)
         assert rep.ok, name
-        names = [row[0] for row in rep.rows]
+        names = [row[0] for row in rep.detail]
         assert "anchor-compatibility" in names
         assert "derived-brackets-match" in names
         assert "derived-anchor-matches" in names
@@ -125,13 +133,18 @@ def test_consequence_rows_pass_on_fixtures():
 
 def test_consequence_rows_catch_anchor_defects():
     rep = consequence_checks(fixtures.tangent_plane_perturbed())
-    rows = dict((name, ok) for name, ok, _ in rep.rows)
+    rows = dict((name, o.ok) for name, o in rep.detail)
     assert not rep.ok
     assert not rows["anchor-compatibility"]
 
     rep2 = consequence_checks(fixtures.two_term_perturbed())
-    rows2 = dict((name, ok) for name, ok, _ in rep2.rows)
+    rows2 = dict((name, o.ok) for name, o in rep2.detail)
     assert not rows2["anchor-compatibility"]
+
+
+def test_consequence_witness_is_the_first_failing_row():
+    rep = consequence_checks(fixtures.tangent_plane_perturbed())
+    assert rep.witness == "anchor-compatibility"
 
 
 def test_residual_linearity_vacuous_over_point():
@@ -189,5 +202,5 @@ def test_de_rham_routes_agree_exactly():
     for name, algd in cases.items():
         rep = de_rham_compare(algd, max_form_degree=2)
         assert rep.ok, (name, rep.witness)
-        assert rep.relation == "opposite", name
+        assert rep.detail == "opposite", name
         assert rep.witness is None

@@ -207,3 +207,33 @@ def test_console_script_wiring():
     )
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+def test_text_witness_prints_like_json(capsys):
+    code, out, err = run(capsys, ["verify", fx("action_line_perturbed.json")])
+    assert code == 1
+    assert 'witness: ["representation", "e1", "e2", "x", "x"]' in out
+    assert "Polynomial(" not in out
+
+
+def test_truncated_sweeps_are_incomplete_not_failed(capsys):
+    code, out, err = run(
+        capsys, ["verify", fx("action_line_perturbed.json"), "--max-arity", "1"]
+    )
+    assert code == 1
+    assert "[INCOMPLETE] identity residuals are function-linear" in out
+    assert "[PASS] routes agree" in out
+    code, out, err = run(
+        capsys,
+        ["check-morphism", fx("morphism_point_two_term_doubled.json"),
+         "--max-arity", "1"],
+    )
+    assert code == 1
+    assert "[INCOMPLETE] bracket condition, arity 1" in out
+    assert "[PASS] formulations agree" in out
+    # n = 1: arity n+2 = 3 is all the identities need
+    code, out, err = run(
+        capsys, ["verify", fx("action_line.json"), "--max-arity", "3"]
+    )
+    assert code == 0
+    assert "INCOMPLETE" not in out

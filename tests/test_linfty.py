@@ -89,7 +89,7 @@ def test_verify_antialgebra_flags_broken_jacobi_with_witness():
         rep = verify_antialgebra(anti.brackets, anchor=anti.anchor)
         assert not rep.ok, name
         assert rep.witness is not None
-        assert rep.residual is not None and not rep.residual.is_zero()
+        assert rep.detail is not None and not rep.detail.is_zero()
 
 
 def test_anchor_defects_are_invisible_to_the_identity_sweep():

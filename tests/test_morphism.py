@@ -61,7 +61,7 @@ def test_both_condition_paths_give_identical_rows():
         rows = []
         for path in ["simplified", "general"]:
             rep = check_bracket_conditions(m, src, tgt, path=path)
-            rows.append(tuple(ok for _, ok, _ in rep.rows))
+            rows.append(tuple(o.ok for _, o in rep.detail))
         assert rows[0] == rows[1], (name, rows)
 
 
@@ -69,8 +69,14 @@ def test_uncancelled_component_fails_exactly_at_arity_two():
     m, src, tgt, _ = fixtures.point_uncancelled()
     for path in ["simplified", "general"]:
         rep = check_bracket_conditions(m, src, tgt, path=path)
-        got = {t: ok for t, ok, _ in rep.rows}
-        assert got == {1: True, 2: False, 3: True}, (path, rep.rows)
+        got = {t: o.ok for t, o in rep.detail}
+        assert got == {1: True, 2: False, 3: True}, (path, rep.detail)
+
+
+def test_bracket_witness_is_the_first_failing_arity():
+    m, src, tgt, _ = fixtures.point_uncancelled()
+    rep = check_bracket_conditions(m, src, tgt)
+    assert not rep.ok and rep.witness == 2
 
 
 def test_cancelling_component_needs_weight_one():
@@ -253,7 +259,7 @@ def test_transport_sign_minus_one_on_a_live_depth_four_component():
         mor = MorphismData(src_b, tgt_b, BaseMap((), (), {}), comps)
         rows = check_bracket_conditions(mor, src, tgt, path="general")
         red = check_over_point_reduction(mor, src, tgt)
-        assert red.ok == rows.ok, (k, red.witness, rows.rows)
+        assert red.ok == rows.ok, (k, red.witness, rows.detail)
         verdicts[k] = red.ok
     assert verdicts == {1: True, -1: False, 2: False}
 
