@@ -3,6 +3,7 @@ import pytest
 from nqforge.polyring import Polynomial
 from nqforge.graded import GradedBundle
 from nqforge.linfty import (
+    AlgebraStructure,
     AntialgebraStructure,
     apply_anchor,
     homotopy_residual_antisymmetric,
@@ -31,6 +32,14 @@ def test_bracket_family_requires_canonical_keys():
     one = Polynomial.constant(1, ("x",))
     with pytest.raises(ValueError):
         AntialgebraStructure(bundle, {2: {("e2", "e1"): {"e1": one}}})
+    # a repeated odd frame vanishes on the symmetric side, a repeated
+    # degree-0 frame on the antisymmetric side
+    with pytest.raises(ValueError):
+        AntialgebraStructure(bundle, {2: {("e1", "e1"): {"e2": one}}})
+    with pytest.raises(ValueError):
+        AlgebraStructure(bundle.shifted(), {2: {("e1", "e1"): {"e2": one}}})
+    with pytest.raises(ValueError):
+        AlgebraStructure(bundle.shifted(), {2: {("e2", "e1"): {"e1": one}}})
 
 
 def test_bracket_family_rejects_wrong_output_degree():
@@ -39,6 +48,18 @@ def test_bracket_family_rejects_wrong_output_degree():
     # a binary bracket of two degree -1 frames must land in degree -1
     with pytest.raises(ValueError):
         AntialgebraStructure(bundle, {2: {("a", "a"): {"b": one}}})
+    bad = [
+        {2: {("a", "b"): {"a": one}}},  # lands in -1, not in -2
+        {1: {("b",): {"b": one}}},  # lands in -2, not in -1
+        {1: {("b",): {"z": one}}},  # unknown target
+        {0: {(): {"a": one}}},  # arity 0
+        {4: {("b", "b", "b", "b"): {"a": one}}},  # arity n+2
+    ]
+    for tables in bad:
+        with pytest.raises((ValueError, KeyError)):
+            AntialgebraStructure(bundle, tables)
+    with pytest.raises(ValueError):
+        AlgebraStructure(bundle.shifted(), {2: {("a", "b"): {"a": one}}})
 
 
 def test_value_applies_symmetry_sign():

@@ -1,10 +1,13 @@
 import itertools
+import json
 import math
 import os
 import random
 import sys
 
 from fractions import Fraction
+
+import pytest
 
 from nqforge.polyring import Polynomial, BaseMap
 from nqforge.graded import (
@@ -35,6 +38,8 @@ from nqforge.morphism import (
     verify_morphism,
 )
 from nqforge import fixtures
+from nqforge.cli import main
+from nqforge.io import StructureFileError, morphism_from_dict, morphism_to_dict
 
 
 def test_fixture_verdicts_and_formulation_agreement():
@@ -445,3 +450,50 @@ def test_partition_sum_matches_printed_sum_on_random_data():
             anchored = LieNAntialgebroid(tgt_b, tables, tgt.anchor)
             live += _check_against_reference(mor, src, anchored)
     assert live > 50, live
+
+
+# ----- table validation -----
+
+
+_SRC_B = GradedBundle((), {1: ["p", "q"], 2: ["c"]})
+_TGT_B = GradedBundle((), {1: ["A"], 2: ["B"]})
+
+# each one bad component table on n = 2 bundles over a point
+BAD_COMPONENTS = {
+    "non-canonical key": {2: {("q", "p"): {"B": 1}}},
+    "key vanishing by symmetry": {2: {("p", "p"): {"B": 1}}},
+    "unknown target": {1: {("p",): {"Z": 1}}},
+    "degree not preserved": {1: {("p",): {"B": 1}}},
+    "arity 0": {0: {("p",): {"A": 1}}},
+    "arity n+1": {3: {("p", "q", "c"): {"B": 1}}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMPONENTS))
+def test_morphism_data_rejects_bad_tables(case):
+    comps = {
+        r: {k: {lab: Polynomial.constant(v, ()) for lab, v in t.items()}
+            for k, t in table.items()}
+        for r, table in BAD_COMPONENTS[case].items()
+    }
+    with pytest.raises((ValueError, KeyError)):
+        MorphismData(_SRC_B, _TGT_B, BaseMap((), (), {}), comps)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMPONENTS))
+def test_bad_component_tables_exit_2(tmp_path, capsys, case):
+    src = LieNAntialgebroid(_SRC_B, {}, {})
+    tgt = LieNAntialgebroid(_TGT_B, {}, {})
+    good = MorphismData(_SRC_B, _TGT_B, BaseMap((), (), {}), {})
+    data = morphism_to_dict(good, src, tgt)
+    data["components"] = {
+        str(r): {",".join(k): {lab: str(v) for lab, v in t.items()}
+                 for k, t in table.items()}
+        for r, table in BAD_COMPONENTS[case].items()
+    }
+    with pytest.raises(StructureFileError):
+        morphism_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-morphism", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
