@@ -15,7 +15,9 @@ outcome.Outcome; the three verdicts agreeing on every fixture is the
 correspondence this package exists to certify.
 
 Sign conventions come from signs.py; the dictionary between elements and
-multilinear maps from superalg.evaluate_element and its inverse.
+multilinear maps from superalg.evaluate_element, element_from_values and
+element_values.  The two conversions read and write the bracket table
+entry by entry, one monomial per entry.
 """
 
 from __future__ import annotations
@@ -23,17 +25,14 @@ from __future__ import annotations
 import itertools
 
 from .polyring import Polynomial
-from .graded import (
-    canonical_tuples,
-    normalize_tuple,
-    perm_sign,
-)
+from .graded import canonical_tuples, perm_sign
 from .signs import ce_prefactor, derived_to_symmetric_sign, sign_pow, suspension_power_sign
 from .superalg import (
     Derivation,
     SuperFunction,
     check_homological,
     element_from_values,
+    element_values,
     evaluate_element,
 )
 from .linfty import (
@@ -83,10 +82,6 @@ class LieNAlgebroid:
             brackets = AlgebraStructure(bundle, brackets)
         if brackets.bundle is not bundle and not brackets.bundle.same_frames(bundle):
             raise ValueError("brackets live on a different bundle")
-        if bundle.n == 1 and 1 in brackets.tables:
-            raise ValueError(
-                "a unary bracket has nowhere to land when n = 1"
-            )
         self.bundle = bundle
         self.n = bundle.n
         self.brackets = brackets
@@ -107,10 +102,6 @@ class LieNAntialgebroid:
             raise ValueError("need at least one graded piece")
         if not isinstance(brackets, AntialgebraStructure):
             brackets = AntialgebraStructure(bundle, brackets)
-        if bundle.n == 1 and 1 in brackets.tables:
-            raise ValueError(
-                "a unary bracket has nowhere to land when n = 1"
-            )
         self.bundle = bundle
         self.n = bundle.n
         self.brackets = brackets
@@ -180,30 +171,22 @@ def ce_differential(a):
                 img = img - comp * SuperFunction.generator(label, bundle)
         if not img.is_zero():
             images[coord] = img
-    labels = bundle.labels()
-    for target in labels:
-        k = bundle.magnitude(target)
-        values = {}
-        for r in range(1, bundle.n + 2):
-            for key in canonical_tuples(labels, r):
-                if sum(bundle.magnitude(lab) for lab in key) != k + 1:
-                    continue
-                canon, sign = normalize_tuple(key, bundle, symmetric=True)
-                if sign == 0:
-                    continue
-                sec = anti.brackets.value(key)
-                comp = sec.coefficient(target)
-                if comp.is_zero():
-                    continue
-                values[key] = comp * ce_prefactor(k)
-        if values:
-            images[target] = element_from_values(bundle, values)
+    values = {}
+    for table in anti.brackets.tables.values():
+        for key, targets in table.items():
+            for target, comp in targets.items():
+                sign = ce_prefactor(bundle.magnitude(target))
+                values.setdefault(target, {})[key] = comp * sign
+    for target in bundle.labels():
+        if target in values:
+            images[target] = element_from_values(bundle, values[target])
     return Derivation(bundle, images)
 
 
 def extract_algebroid(bundle, q):
     """Read bracket and anchor data off a degree-+1 vector field; exact
-    inverse of ce_differential.
+    inverse of ce_differential.  Each monomial of a generator image is one
+    bracket entry.
 
     The field need not square to zero (that is what verify_algebroid is
     for), but it must be homogeneous of standard degree +1.
@@ -223,25 +206,10 @@ def extract_algebroid(bundle, q):
         if row:
             anchor[label] = row
     tables = {}
-    labels = bundle.labels()
-    for target in labels:
-        k = bundle.magnitude(target)
-        img = q.image(target)
-        for r, part in img.homological_parts().items():
-            if r < 1:
-                continue
-            for key in canonical_tuples(labels, r):
-                if sum(bundle.magnitude(lab) for lab in key) != k + 1:
-                    continue
-                canon, sign = normalize_tuple(key, bundle, symmetric=True)
-                if sign == 0:
-                    continue
-                frames = [bundle.frame_section(lab) for lab in key]
-                v = evaluate_element(part, frames)
-                if v.is_zero():
-                    continue
-                comp = v * ce_prefactor(k)
-                tables.setdefault(r, {}).setdefault(key, {})[target] = comp
+    for target in bundle.labels():
+        sign = ce_prefactor(bundle.magnitude(target))
+        for key, v in element_values(q.image(target)).items():
+            tables.setdefault(len(key), {}).setdefault(key, {})[target] = v * sign
     brackets = AntialgebraStructure(bundle, tables)
     return LieNAntialgebroid(bundle, brackets, anchor)
 

@@ -226,8 +226,8 @@ def _tables_match(declared, extracted):
         })
     if declared.brackets.tables != extracted.brackets.tables:
         return Outcome(False, {
-            "brackets declared": structio.tables_to_dict(declared.brackets),
-            "brackets extracted": structio.tables_to_dict(extracted.brackets),
+            "brackets declared": structio.tables_to_dict(declared.brackets.tables),
+            "brackets extracted": structio.tables_to_dict(extracted.brackets.tables),
         })
     return Outcome(True)
 
@@ -351,9 +351,10 @@ def cmd_check_morphism(args):
             lambda outcome=outcome: outcome,
             complete,
         )
+    phi = build_phi(morph)
     equivariance = report.check(
         "differential equivariance",
-        lambda: check_equivariance(morph, source, target),
+        lambda: check_equivariance(phi, source, target),
     )
     summary = MorphismReport(anchor, brackets, equivariance, complete)
     report.check(
@@ -366,7 +367,6 @@ def cmd_check_morphism(args):
             },
         ),
     )
-    phi = build_phi(morph)
     rng = random.Random(args.seed)
     tgt_bundle = phi.target_bundle
 

@@ -8,7 +8,10 @@ Sections store frame coefficients as exact polynomials.
 
 Sign helpers live in signs.py; this module re-exports the ones that belong
 to the graded calculus (koszul_sign, chi_sign, suspension signs) and adds
-shuffle and set-partition enumeration and tuple normalization.
+shuffle and set-partition enumeration and tuple normalization, and the
+sparse multilinear table format that bracket families and morphism
+components share: validate_table checks one, table_value looks an entry
+up at a frame tuple in any order.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ __all__ = [
     "set_partitions",
     "canonical_tuples",
     "normalize_tuple",
+    "validate_table",
+    "table_value",
     "suspend_tuple",
     "desuspend_tuple",
 ]
@@ -310,6 +315,75 @@ def normalize_tuple(labels, bundle, symmetric=True):
         if a == b and bundle.degree(a) % 2 == vanishing:
             return tuple(arr), 0
     return tuple(arr), sign
+
+
+def validate_table(tables, source, target, symmetric, max_arity, out_degree,
+                   what):
+    """A sparse multilinear table checked entry by entry, zero entries
+    dropped.
+
+    Bracket families and morphism components share the format
+    {arity: {canonical source frame tuple: {target frame label:
+    Polynomial}}}.  Arities run 1..max_arity; a key must be a tuple of
+    that many source frames in canonical order (see normalize_tuple) that
+    does not vanish by symmetry; every target label must name a target
+    frame, and a nonzero target must have degree out_degree(key).  what
+    names the map in error messages.
+    """
+    clean = {}
+    for r, table in tables.items():
+        r = int(r)
+        if not 1 <= r <= max_arity:
+            raise ValueError(
+                "%s arity %d is outside 1..%d" % (what, r, max_arity)
+            )
+        out = {}
+        for key, targets in table.items():
+            key = tuple(key)
+            canon, sign = normalize_tuple(key, source, symmetric)
+            if canon != key or len(key) != r:
+                raise ValueError(
+                    "%s key %r is not a canonical %d-tuple" % (what, key, r)
+                )
+            if sign == 0:
+                raise ValueError("%s key %r vanishes by symmetry" % (what, key))
+            degree = out_degree(key)
+            entry = {}
+            for lab, poly in targets.items():
+                if lab not in target.label_index:
+                    raise KeyError("unknown target frame %r" % lab)
+                if poly.is_zero():
+                    continue
+                if target.degree(lab) != degree:
+                    raise ValueError(
+                        "%s on %r targets %r of degree %d, expected %d"
+                        % (what, key, lab, target.degree(lab), degree)
+                    )
+                entry[lab] = poly
+            if entry:
+                out[key] = entry
+        if out:
+            clean[r] = out
+    return clean
+
+
+def table_value(tables, labels, bundle, symmetric, weight=None):
+    """Entry of a validated table at a frame tuple in any order, as
+    {target label: Polynomial}: the canonical entry times the sign of
+    reordering (empty where the tuple vanishes by symmetry), and times
+    weight(canonical tuple) when a weight is given.  Where the total sign
+    is +1 this is the stored entry itself, so callers must not mutate it.
+    """
+    canon, sign = normalize_tuple(tuple(labels), bundle, symmetric)
+    table = tables.get(len(canon)) if sign else None
+    entry = table.get(canon) if table else None
+    if not entry:
+        return {}
+    if weight is not None:
+        sign *= weight(canon)
+    if sign == 1:
+        return entry
+    return {lab: poly * sign for lab, poly in entry.items()}
 
 
 def suspend_tuple(sections):

@@ -34,7 +34,9 @@ A morphism file is
 
 with base_map giving the pullback of each target coordinate and the
 components keyed by arity, then by comma-joined source frame tuple, then
-by target frame label.
+by target frame label: the bracket format, read by one table parser and
+written by one writer (tables_to_dict).  The library checks the tables
+themselves with graded.validate_table.
 
 Only the keys shown are read; any other key, another "kind", or a structure
 block without "frames" (an empty structure declares "frames": {}), is an
@@ -170,14 +172,17 @@ def _check_label(bundle, lab, context):
         )
 
 
-def _tables_from_dict(data, bundle, context):
+def _tables_from_dict(data, source, target, context, what):
+    """The table format shared by brackets and components: arity, then
+    comma-joined source frame tuple, then target frame label, with
+    coefficients over the source base."""
     tables = {}
     for arity_key, table in _expect_dict(data, context).items():
         try:
             r = int(arity_key)
         except (TypeError, ValueError):
             raise StructureFileError(
-                "bracket keys are arities", context
+                "%s keys are arities" % what, context
             ) from None
         ctx_r = "%s[%s]" % (context, arity_key)
         out = {}
@@ -185,12 +190,12 @@ def _tables_from_dict(data, bundle, context):
             labels = _split_key(key, ctx_r)
             ctx_k = "%s[%r]" % (ctx_r, key)
             for lab in labels:
-                _check_label(bundle, lab, ctx_k)
+                _check_label(source, lab, ctx_k)
             entry = {}
             for lab, value in _expect_dict(targets, ctx_k).items():
-                _check_label(bundle, lab, ctx_k)
+                _check_label(target, lab, ctx_k)
                 entry[lab] = _poly(
-                    value, bundle.base_coordinates, "%s -> %r" % (ctx_k, lab)
+                    value, source.base_coordinates, "%s -> %r" % (ctx_k, lab)
                 )
             out[labels] = entry
         if out:
@@ -255,7 +260,8 @@ def structure_from_dict(data, context="structure"):
         raise StructureFileError("kind must be \"structure\"", context)
     bundle = bundle_from_dict(data, context)
     brackets = _tables_from_dict(
-        data.get("brackets", {}), bundle, context + ".brackets"
+        data.get("brackets", {}), bundle, bundle, context + ".brackets",
+        "bracket",
     )
     anchor = _anchor_from_dict(data.get("anchor", {}), bundle, context + ".anchor")
     try:
@@ -307,33 +313,10 @@ def morphism_from_dict(data, context="morphism"):
     base_map = BaseMap(
         src_bundle.base_coordinates, tgt_bundle.base_coordinates, images
     )
-    comps = {}
-    for arity_key, table in _expect_dict(
-        data.get("components", {}), context + ".components"
-    ).items():
-        try:
-            r = int(arity_key)
-        except (TypeError, ValueError):
-            raise StructureFileError(
-                "component keys are arities", context + ".components"
-            ) from None
-        ctx_r = "%s.components[%s]" % (context, arity_key)
-        out = {}
-        for key, targets in _expect_dict(table, ctx_r).items():
-            labels = _split_key(key, ctx_r)
-            ctx_k = "%s[%r]" % (ctx_r, key)
-            for lab in labels:
-                _check_label(src_bundle, lab, ctx_k)
-            entry = {}
-            for lab, value in _expect_dict(targets, ctx_k).items():
-                _check_label(tgt_bundle, lab, ctx_k)
-                entry[lab] = _poly(
-                    value, src_bundle.base_coordinates,
-                    "%s -> %r" % (ctx_k, lab),
-                )
-            out[labels] = entry
-        if out:
-            comps[r] = out
+    comps = _tables_from_dict(
+        data.get("components", {}), src_bundle, tgt_bundle,
+        context + ".components", "component",
+    )
     try:
         morph = MorphismData(src_bundle, tgt_bundle, base_map, comps)
     except (ValueError, KeyError) as exc:
@@ -373,21 +356,15 @@ def load_any(path):
 # ----- writing -----
 
 
-def _poly_str(poly):
-    return str(poly)
-
-
-def tables_to_dict(brackets):
-    out = {}
-    for r in brackets.arities():
-        table = {}
-        for key, targets in sorted(brackets.tables[r].items()):
-            table[",".join(key)] = {
-                lab: _poly_str(p) for lab, p in sorted(targets.items())
-            }
-        if table:
-            out[str(r)] = table
-    return out
+def tables_to_dict(tables):
+    """Inverse of the table parser: keys and labels sorted."""
+    return {
+        str(r): {
+            ",".join(key): {lab: str(p) for lab, p in sorted(targets.items())}
+            for key, targets in sorted(table.items())
+        }
+        for r, table in sorted(tables.items())
+    }
 
 
 def structure_to_dict(struct, q=None):
@@ -401,10 +378,10 @@ def structure_to_dict(struct, q=None):
             for a, labs in sorted(bundle.labels_by_magnitude.items())
         },
         "anchor": {
-            lab: {c: _poly_str(p) for c, p in sorted(row.items())}
+            lab: {c: str(p) for c, p in sorted(row.items())}
             for lab, row in sorted(struct.anchor.items())
         },
-        "brackets": tables_to_dict(struct.brackets),
+        "brackets": tables_to_dict(struct.brackets.tables),
     }
     if q is not None:
         data["q"] = q_to_terms(q)
@@ -427,23 +404,15 @@ def q_to_terms(q):
 
 
 def morphism_to_dict(morph, source, target, source_q=None, target_q=None):
-    data = {
+    return {
         "kind": "morphism",
         "source": structure_to_dict(source, source_q),
         "target": structure_to_dict(target, target_q),
         "base_map": {
-            c: _poly_str(p) for c, p in sorted(morph.base_map.images.items())
+            c: str(p) for c, p in sorted(morph.base_map.images.items())
         },
-        "components": {},
+        "components": tables_to_dict(morph.components),
     }
-    for r, table in sorted(morph.components.items()):
-        block = {}
-        for key, targets in sorted(table.items()):
-            block[",".join(key)] = {
-                lab: _poly_str(p) for lab, p in sorted(targets.items())
-            }
-        data["components"][str(r)] = block
-    return data
 
 
 def save(path, data):

@@ -3,9 +3,10 @@
 AntialgebraStructure holds graded symmetric brackets of degree +1 on the
 unshifted bundle (degrees -1..-n); AlgebraStructure holds graded
 antisymmetric brackets of degree 2-i on the shifted bundle (degrees
-0..-(n-1)).  Both store structure functions per arity on canonically
-ordered frame tuples, evaluate on arbitrary sections by multilinear
-expansion, and verify their homotopy Jacobi identities on frame tuples.
+0..-(n-1)).  Both store structure functions in the sparse table format of
+graded.py (validate_table checks it, table_value looks entries up),
+evaluate on arbitrary sections by multilinear expansion, and verify their
+homotopy Jacobi identities on frame tuples.
 
 Evaluation is C-infinity-multilinear unless an anchor is passed, in which
 case the binary bracket gains the usual directional-derivative corrections;
@@ -29,6 +30,8 @@ from .graded import (
     koszul_sign,
     normalize_tuple,
     shuffles,
+    table_value,
+    validate_table,
 )
 from .signs import algebra_identity_sign, bracket_transfer_sign, sign_pow
 from .coalgebra import Coderivation, MultilinearMap
@@ -51,47 +54,20 @@ def apply_anchor(anchor, label, poly):
 class _BracketFamily:
     """Shared storage/evaluation for both symmetry types.
 
-    tables: {arity: {canonical label tuple: {target label: Polynomial}}}.
-    Subclasses fix the symmetry used for normalization and the anchored
-    correction signs of the binary bracket.
+    tables: {arity: {canonical label tuple: {target label: Polynomial}}},
+    the table format of graded.validate_table, arities 1..n+1.  Subclasses
+    fix the symmetry used for normalization, the output degree of a key and
+    the anchored correction signs of the binary bracket.
     """
 
     symmetric = True
 
     def __init__(self, bundle, tables):
         self.bundle = bundle
-        self.tables = {}
-        for arity, table in tables.items():
-            arity = int(arity)
-            clean = {}
-            for key, targets in table.items():
-                canon, sign = normalize_tuple(tuple(key), bundle, self.symmetric)
-                if canon != tuple(key):
-                    raise ValueError(
-                        "bracket key %r is not canonically ordered" % (key,)
-                    )
-                if sign == 0:
-                    raise ValueError(
-                        "bracket key %r vanishes by symmetry" % (key,)
-                    )
-                out_degree = self._output_degree(canon)
-                entry = {}
-                for lab, poly in targets.items():
-                    if poly.is_zero():
-                        continue
-                    if self.bundle.degree(lab) != out_degree:
-                        raise ValueError(
-                            "bracket on %r targets %r of degree %d, expected %d"
-                            % (key, lab, self.bundle.degree(lab), out_degree)
-                        )
-                    entry[lab] = poly
-                if entry:
-                    clean[canon] = entry
-            if clean:
-                self.tables[arity] = clean
-
-    def _output_degree(self, labels):
-        raise NotImplementedError
+        self.tables = validate_table(
+            tables, bundle, bundle, self.symmetric, bundle.n + 1,
+            self._output_degree, "bracket",
+        )
 
     def max_arity(self):
         return max(self.tables, default=0)
@@ -101,13 +77,10 @@ class _BracketFamily:
 
     def value(self, labels):
         """Bracket value on a frame-label tuple, any order, as a Section."""
-        canon, sign = normalize_tuple(tuple(labels), self.bundle, self.symmetric)
-        table = self.tables.get(len(labels), {})
-        targets = table.get(canon)
-        if sign == 0 or not targets:
-            return self.bundle.zero_section()
-        sec = Section(self.bundle, dict(targets))
-        return sec.scale(sign) if sign != 1 else sec
+        return Section(
+            self.bundle,
+            table_value(self.tables, labels, self.bundle, self.symmetric),
+        )
 
     def evaluate(self, sections, anchor=None):
         """Multilinear extension to sections; with an anchor, the binary
@@ -262,36 +235,31 @@ def verify_algebra(struct, r_max=None, anchor=None):
     return _sweep(struct, homotopy_residual_antisymmetric, r_max, anchor)
 
 
+def _transferred_tables(family):
+    """The tables with each entry times the bracket transfer sign of its
+    key's magnitudes; magnitudes do not depend on the side, so one table
+    serves both directions."""
+    bundle = family.bundle
+    tables = {}
+    for arity, table in family.tables.items():
+        out = {}
+        for key, targets in table.items():
+            sign = bracket_transfer_sign([bundle.magnitude(lab) for lab in key])
+            out[key] = {lab: poly * sign for lab, poly in targets.items()}
+        tables[arity] = out
+    return tables
+
+
 def transfer_to_algebra(anti):
     """Antisymmetric brackets on the shifted side equivalent to the given
     symmetric family; exact inverse of transfer_to_antialgebra."""
-    bundle = anti.bundle
-    shifted = bundle.shifted()
-    tables = {}
-    for arity, table in anti.tables.items():
-        out = {}
-        for key, targets in table.items():
-            mags = [bundle.magnitude(lab) for lab in key]
-            sign = bracket_transfer_sign(mags)
-            out[key] = {lab: poly * sign for lab, poly in targets.items()}
-        tables[arity] = out
-    return AlgebraStructure(shifted, tables)
+    return AlgebraStructure(anti.bundle.shifted(), _transferred_tables(anti))
 
 
 def transfer_to_antialgebra(alg):
     """Symmetric brackets on the unshifted side equivalent to the given
     antisymmetric family; exact inverse of transfer_to_algebra."""
-    bundle = alg.bundle
-    unshifted = bundle.shifted()
-    tables = {}
-    for arity, table in alg.tables.items():
-        out = {}
-        for key, targets in table.items():
-            mags = [unshifted.magnitude(lab) for lab in key]
-            sign = bracket_transfer_sign(mags)
-            out[key] = {lab: poly * sign for lab, poly in targets.items()}
-        tables[arity] = out
-    return AntialgebraStructure(unshifted, tables)
+    return AntialgebraStructure(alg.bundle.shifted(), _transferred_tables(alg))
 
 
 def antialgebra_coderivation(anti):

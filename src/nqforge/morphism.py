@@ -3,8 +3,10 @@
 Two presentations again: geometric data (a polynomial base map together
 with graded-symmetric degree-0 bundle-map components on frame tuples) and
 the graded-algebra morphism of function algebras it induces, pulling the
-target algebra back to the source.  build_phi and extract_morphism move
-between them; check_anchor_condition and check_bracket_conditions test the
+target algebra back to the source.  The components are a sparse table in
+the format brackets use (graded.validate_table checks it, table_value looks
+entries up).  build_phi and extract_morphism move between the presentations
+entry by entry; check_anchor_condition and check_bracket_conditions test the
 geometric compatibility with anchors and brackets, check_equivariance tests
 that the algebra morphism intertwines the two differentials, and the two
 verdicts agreeing on every fixture, morphism or not, is the second
@@ -33,7 +35,15 @@ from __future__ import annotations
 import itertools
 
 from .polyring import Polynomial, BaseMap
-from .graded import Section, canonical_tuples, normalize_tuple, set_partitions, shuffles
+from .graded import (
+    Section,
+    canonical_tuples,
+    normalize_tuple,
+    set_partitions,
+    shuffles,
+    table_value,
+    validate_table,
+)
 from .signs import (
     bracket_transfer_sign,
     chi_sign,
@@ -42,7 +52,7 @@ from .signs import (
     over_point_block_sign,
     sign_pow,
 )
-from .superalg import SuperFunction, element_from_values, evaluate_element
+from .superalg import SuperFunction, element_from_values, element_values
 from .linfty import apply_anchor
 from .algebroid import _as_algebroid, _as_antialgebroid, ce_differential
 from .outcome import Outcome, all_of
@@ -63,10 +73,11 @@ class MorphismData:
     """Geometric morphism data: a base map plus components on frame tuples.
 
     components: {arity r: {canonical source frame tuple: {target frame
-    label: Polynomial over the source coordinates}}}.  Arity runs 1..n; an
-    arity-(n+1) component would land below the lowest degree, so such keys
-    are rejected.  Component entries are degree-0: the target label's
-    magnitude must equal the tuple's magnitude sum.
+    label: Polynomial over the source coordinates}}}, the table format of
+    graded.validate_table.  Arity runs 1..n; an arity-(n+1) component would
+    land below the lowest degree, so such keys are rejected.  Component
+    entries are degree-0: the target label's magnitude must equal the
+    tuple's magnitude sum.
     """
 
     def __init__(self, source_bundle, target_bundle, base_map, components):
@@ -86,85 +97,17 @@ class MorphismData:
         self.target_bundle = target_bundle
         self.base_map = base_map
         self.n = source_bundle.n
-        self.components = {}
-        for r, table in components.items():
-            r = int(r)
-            if r < 1:
-                raise ValueError("component arity must be positive")
-            if r > self.n:
-                raise ValueError(
-                    "an arity-%d component lands below the lowest degree" % r
-                )
-            clean = {}
-            for key, targets in table.items():
-                key = tuple(key)
-                canon, sign = normalize_tuple(key, source_bundle, symmetric=True)
-                if canon != key:
-                    raise ValueError("component key %r is not canonical" % (key,))
-                if sign == 0:
-                    raise ValueError(
-                        "component key %r vanishes by symmetry" % (key,)
-                    )
-                total = sum(source_bundle.magnitude(lab) for lab in key)
-                entry = {}
-                for lab, poly in targets.items():
-                    if lab not in target_bundle.label_index:
-                        raise KeyError("unknown target frame %r" % lab)
-                    if target_bundle.magnitude(lab) != total:
-                        raise ValueError(
-                            "component %r -> %r is not degree-preserving"
-                            % (key, lab)
-                        )
-                    if not poly.is_zero():
-                        entry[lab] = poly
-                if entry:
-                    clean[key] = entry
-            if clean:
-                self.components[r] = clean
+        self.components = validate_table(
+            components, source_bundle, target_bundle, True, self.n,
+            lambda key: sum(source_bundle.degree(lab) for lab in key),
+            "component",
+        )
 
     def value(self, r, labels):
-        """Component on one frame tuple, as {target label: Polynomial};
-        normalizes the tuple and applies the symmetry sign."""
-        table = self.components.get(r)
-        if not table:
-            return {}
-        canon, sign = normalize_tuple(tuple(labels), self.source_bundle, True)
-        if sign == 0:
-            return {}
-        entry = table.get(canon, {})
-        if sign == 1:
-            return dict(entry)
-        return {lab: poly * sign for lab, poly in entry.items()}
-
-    def evaluate(self, r, sections):
-        """Multilinear graded-symmetric evaluation on sections of the source;
-        coefficient functions pass straight through, a bundle map carries no
-        anchor."""
-        out = {}
-        terms = [(Polynomial.constant(1, self.source_bundle.base_coordinates), ())]
-        for sec in sections:
-            new_terms = []
-            for coeff, labels in terms:
-                for lab, comp in sec.components.items():
-                    new_terms.append((coeff * comp, labels + (lab,)))
-            terms = new_terms
-        for coeff, labels in terms:
-            if coeff.is_zero():
-                continue
-            for lab, poly in self.value(r, labels).items():
-                _acc(out, lab, poly * coeff)
-        return _clean(out)
-
-    def decompose(self, r, sections):
-        """Decomposition of a component value against the global target
-        frames: a list of (coefficient over the source base, target frame
-        label) pairs."""
-        out = self.evaluate(r, sections)
-        order = self.target_bundle.label_index
-        return sorted(
-            ((poly, lab) for lab, poly in out.items()),
-            key=lambda pair: order[pair[1]],
-        )
+        """Component on one frame tuple of length r, any order, as a
+        read-only {target label: Polynomial}, with the symmetry sign
+        applied."""
+        return table_value(self.components, labels, self.source_bundle, True)
 
     def is_base_preserving(self):
         return (
@@ -234,55 +177,32 @@ def build_phi(morph):
     """Algebra morphism induced by geometric morphism data.
 
     A target coordinate goes to its base-map image.  A target dual
-    generator of magnitude k goes to the source element whose arity-r
-    frame-tuple values are the generator's coefficients in the arity-r
-    component; products are then forced by multiplicativity.
+    generator goes to the source element whose frame-tuple values are the
+    generator's coefficients in the components; products are then forced
+    by multiplicativity.
     """
+    values = {}
+    for table in morph.components.values():
+        for key, targets in table.items():
+            for lab, comp in targets.items():
+                values.setdefault(lab, {})[key] = comp
     src = morph.source_bundle
-    tgt = morph.target_bundle
-    gen_images = {}
-    for lab in tgt.labels():
-        k = tgt.magnitude(lab)
-        values = {}
-        for r in range(1, morph.n + 1):
-            for key in canonical_tuples(src.labels(), r):
-                if sum(src.magnitude(x) for x in key) != k:
-                    continue
-                canon, sign = normalize_tuple(key, src, symmetric=True)
-                if sign == 0:
-                    continue
-                comp = morph.value(r, key).get(lab)
-                if comp is not None and not comp.is_zero():
-                    values[key] = comp
-        if values:
-            gen_images[lab] = element_from_values(src, values)
-    return AlgebraMorphism(src, tgt, dict(morph.base_map.images), gen_images)
+    gen_images = {lab: element_from_values(src, v) for lab, v in values.items()}
+    return AlgebraMorphism(
+        src, morph.target_bundle, dict(morph.base_map.images), gen_images
+    )
 
 
 def extract_morphism(phi):
-    """Geometric data of an algebra morphism; exact inverse of build_phi."""
-    src = phi.source_bundle
-    tgt = phi.target_bundle
+    """Geometric data of an algebra morphism; exact inverse of build_phi.
+    Each monomial of a generator image is one component entry."""
     components = {}
-    for lab in tgt.labels():
-        k = tgt.magnitude(lab)
-        img = phi.generator_images[lab]
-        deg = img.std_degree()
-        if deg is not None and deg != k:
-            raise ValueError("image of %r is not degree-preserving" % lab)
-        for r, part in img.homological_parts().items():
-            for key in canonical_tuples(src.labels(), r):
-                if sum(src.magnitude(x) for x in key) != k:
-                    continue
-                canon, sign = normalize_tuple(key, src, symmetric=True)
-                if sign == 0:
-                    continue
-                frames = [src.frame_section(x) for x in key]
-                v = evaluate_element(part, frames)
-                if v.is_zero():
-                    continue
-                components.setdefault(r, {}).setdefault(key, {})[lab] = v
-    return MorphismData(src, tgt, phi.base_map(), components)
+    for lab, img in phi.generator_images.items():
+        for key, v in element_values(img).items():
+            components.setdefault(len(key), {}).setdefault(key, {})[lab] = v
+    return MorphismData(
+        phi.source_bundle, phi.target_bundle, phi.base_map(), components
+    )
 
 
 # ----- the geometric conditions -----
@@ -302,9 +222,7 @@ def check_anchor_condition(morph, source, target):
             gvar = Polynomial.variable(g, tgt_coords)
             lhs = apply_anchor(src.anchor, x, pull(gvar))
             rhs = Polynomial.zero(morph.source_bundle.base_coordinates)
-            for f, zeta in morph.decompose(
-                1, [morph.source_bundle.frame_section(x)]
-            ):
+            for zeta, f in morph.value(1, (x,)).items():
                 rhs = rhs + f * pull(apply_anchor(tgt.anchor, zeta, gvar))
             if lhs != rhs:
                 return Outcome(False, witness=(x, g, str(lhs - rhs)))
@@ -563,19 +481,14 @@ def over_point_defect(morph, source, target, labels):
     tgt_alg = _as_algebroid(target)
     s_src = src_alg.bundle
 
-    def phi_value(r, key):
+    def transfer(canon):
         # components conjugated to the shifted side; the conjugation has the
         # shape of bracket transfer, so the sign is the same function of the
         # slot magnitudes
-        table = morph.components.get(r)
-        if not table:
-            return {}
-        canon, sign = normalize_tuple(tuple(key), s_src, symmetric=False)
-        entry = table.get(canon)
-        if sign == 0 or not entry:
-            return {}
-        sign *= bracket_transfer_sign([s_src.magnitude(lab) for lab in canon])
-        return {lab: poly * sign for lab, poly in entry.items()}
+        return bracket_transfer_sign([s_src.magnitude(lab) for lab in canon])
+
+    def phi_value(key):
+        return table_value(morph.components, key, s_src, False, transfer)
 
     t = len(labels)
     degs = [s_src.degree(lab) for lab in labels]
@@ -591,12 +504,12 @@ def over_point_defect(morph, source, target, labels):
             inner = src_alg.brackets.value(tuple(labels[p] for p in perm[:s]))
             rest = tuple(labels[p] for p in perm[s:])
             for lab_i, comp in inner.components.items():
-                for zeta, poly in phi_value(r, (lab_i,) + rest).items():
+                for zeta, poly in phi_value((lab_i,) + rest).items():
                     _acc(acc, zeta, poly * comp * (w * chi))
 
     for blocks, order in _partitions(t, morph.n, tgt_alg.brackets.tables):
         per_block = [
-            list(phi_value(len(b), tuple(labels[q] for q in b)).items())
+            list(phi_value(tuple(labels[q] for q in b)).items())
             for b in blocks
         ]
         if not all(per_block):

@@ -69,6 +69,15 @@ class SuperFunction:
     # ----- constructors -----
 
     @classmethod
+    def _trusted(cls, bundle, terms):
+        """An element on terms already in normal order with nonzero
+        coefficients, taken as they are."""
+        out = cls.__new__(cls)
+        out.bundle = bundle
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, bundle):
         return cls(bundle, {})
 
@@ -113,10 +122,13 @@ class SuperFunction:
         for key, coeff in self.terms.items():
             k = self._key_std(key)
             parts.setdefault(k, {})[key] = coeff
-        return {k: SuperFunction(self.bundle, t) for k, t in sorted(parts.items())}
+        return {
+            k: SuperFunction._trusted(self.bundle, t)
+            for k, t in sorted(parts.items())
+        }
 
     def std_part(self, k):
-        return SuperFunction(
+        return SuperFunction._trusted(
             self.bundle,
             {key: c for key, c in self.terms.items() if self._key_std(key) == k},
         )
@@ -134,10 +146,13 @@ class SuperFunction:
         parts = {}
         for key, coeff in self.terms.items():
             parts.setdefault(len(key), {})[key] = coeff
-        return {s: SuperFunction(self.bundle, t) for s, t in sorted(parts.items())}
+        return {
+            s: SuperFunction._trusted(self.bundle, t)
+            for s, t in sorted(parts.items())
+        }
 
     def homological_part(self, s):
-        return SuperFunction(
+        return SuperFunction._trusted(
             self.bundle,
             {key: c for key, c in self.terms.items() if len(key) == s},
         )
@@ -164,16 +179,12 @@ class SuperFunction:
                     terms[key] = s
             else:
                 terms[key] = coeff
-        out = SuperFunction.__new__(SuperFunction)
-        out.bundle = self.bundle
-        out.terms = terms
-        return out
+        return SuperFunction._trusted(self.bundle, terms)
 
     def __neg__(self):
-        out = SuperFunction.__new__(SuperFunction)
-        out.bundle = self.bundle
-        out.terms = {key: -c for key, c in self.terms.items()}
-        return out
+        return SuperFunction._trusted(
+            self.bundle, {key: -c for key, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
         if isinstance(other, (int, Polynomial)):
@@ -198,12 +209,12 @@ class SuperFunction:
                             del out[key]
                     elif not c.is_zero():
                         out[key] = c
-            result = SuperFunction.__new__(SuperFunction)
-            result.bundle = self.bundle
-            result.terms = out
-            return result
-        # scalars and polynomial coefficients commute with everything
-        return SuperFunction(
+            return SuperFunction._trusted(self.bundle, out)
+        # scalars and polynomial coefficients commute with everything; a
+        # nonzero factor keeps every coefficient nonzero
+        if not other:
+            return SuperFunction.zero(self.bundle)
+        return SuperFunction._trusted(
             self.bundle, {key: c * other for key, c in self.terms.items()}
         )
 
@@ -383,8 +394,10 @@ class Derivation:
         bundle = self.bundle
         out = SuperFunction.zero(bundle)
         one = Polynomial.constant(1, bundle.base_coordinates)
+        trusted = SuperFunction._trusted
+        # f's keys are in normal order, and so is every slice of one
         for key, coeff in f.terms.items():
-            mono = SuperFunction(bundle, {key: one})
+            mono = trusted(bundle, {key: one})
             for x in bundle.base_coordinates:
                 img = self.images.get(x)
                 if img is None:
@@ -398,8 +411,8 @@ class Derivation:
                 img = self.images.get(lab)
                 if img is not None:
                     sign = sign_pow(l * prefix)
-                    left = SuperFunction(bundle, {key[:p]: coeff})
-                    right = SuperFunction(bundle, {key[p + 1:]: one})
+                    left = trusted(bundle, {key[:p]: coeff})
+                    right = trusted(bundle, {key[p + 1:]: one})
                     term = left * img * right
                     if sign == -1:
                         term = -term
@@ -540,6 +553,15 @@ def evaluate_element(element, sections):
     return current.body() * evaluation_sign(mags)
 
 
+def _diagonal(bundle, key):
+    """evaluate_element of the monomial on its own frames: a nonzero
+    rational, of magnitude above 1 where an even frame repeats."""
+    one = Polynomial.constant(1, bundle.base_coordinates)
+    frames = [bundle.frame_section(lab) for lab in key]
+    mono = SuperFunction._trusted(bundle, {key: one})
+    return evaluate_element(mono, frames).constant_value()
+
+
 def element_from_values(bundle, values):
     """Inverse of evaluate_element on frame tuples.
 
@@ -548,7 +570,6 @@ def element_from_values(bundle, values):
     values.  Tuples whose symmetry forces zero must not appear.
     """
     result = SuperFunction.zero(bundle)
-    one = Polynomial.constant(1, bundle.base_coordinates)
     for labels, value in values.items():
         if value.is_zero():
             continue
@@ -557,9 +578,17 @@ def element_from_values(bundle, values):
             raise ValueError(
                 "tuple %r pairs to zero with every element" % (labels,)
             )
-        mono = SuperFunction(bundle, {key: one})
-        frames = [bundle.frame_section(lab) for lab in key]
-        diag = evaluate_element(mono, frames)
-        scale = value * (sign / diag.constant_value())
+        scale = value * (sign / _diagonal(bundle, key))
         result = result + SuperFunction(bundle, {key: scale})
     return result
+
+
+def element_values(element):
+    """Inverse of element_from_values: {canonical frame tuple: the value of
+    the represented map there}, one entry per monomial, the coefficient
+    times the monomial's pairing with its own frames."""
+    bundle = element.bundle
+    return {
+        key: coeff * _diagonal(bundle, key)
+        for key, coeff in element.terms.items()
+    }
