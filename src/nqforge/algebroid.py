@@ -25,8 +25,14 @@ from __future__ import annotations
 import itertools
 
 from .polyring import Polynomial
-from .graded import canonical_tuples, perm_sign
-from .signs import ce_prefactor, derived_to_symmetric_sign, sign_pow, suspension_power_sign
+from .graded import canonical_tuples
+from .signs import (
+    ce_prefactor,
+    derived_to_symmetric_sign,
+    perm_sign,
+    sign_pow,
+    suspension_power_sign,
+)
 from .superalg import (
     Derivation,
     SuperFunction,
@@ -335,12 +341,14 @@ def residual_linearity(anti, r_max=None):
     for t in range(1, r_max + 1):
         for key in canonical_tuples(labels, t):
             frames = [bundle.frame_section(lab) for lab in key]
-            plain = homotopy_residual_on_sections(struct, frames, anchor)
+            plain = homotopy_residual_on_sections(struct, key, frames, anchor)
             for slot in range(t):
                 for probe in probes:
                     scaled = list(frames)
                     scaled[slot] = scaled[slot].scale(probe)
-                    bent = homotopy_residual_on_sections(struct, scaled, anchor)
+                    bent = homotopy_residual_on_sections(
+                        struct, key, scaled, anchor
+                    )
                     defect = bent - plain.scale(probe)
                     if not defect.is_zero():
                         return Outcome(

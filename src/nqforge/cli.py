@@ -196,10 +196,7 @@ def cmd_from_q(args):
         )
     struct, q = structio.structure_from_dict(data, context=args.file)
     anti = _as_antialgebroid(struct)
-    try:
-        extracted = extract_algebroid(anti.bundle, q)
-    except ValueError as exc:
-        raise structio.StructureFileError(str(exc), args.file + ".q") from exc
+    extracted = extract_algebroid(anti.bundle, q)
     report = Report("from-q", args.file)
     if anti.brackets.tables or anti.anchor:
         report.check(

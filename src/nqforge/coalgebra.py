@@ -136,37 +136,6 @@ class MultilinearMap:
         return out
 
 
-def product_of_maps(f, g):
-    """Graded symmetric product of two multilinear maps.
-
-    (f . g)(v) = sum over (r_f, r_g)-shuffles of
-    (-1)^(deg g * deg of first block) * Koszul * f(first block) * g(second
-    block), with the product of the output words on the shared target.
-    """
-    if f.source_bundle is not g.source_bundle and not f.source_bundle.same_frames(
-        g.source_bundle
-    ):
-        raise ValueError("maps have different sources")
-    arity = f.arity + g.arity
-    degree = f.degree + g.degree
-
-    def fn(labels):
-        bundle = f.source_bundle
-        degs = [bundle.degree(lab) for lab in labels]
-        out = SuperFunction.zero(f.target_bundle)
-        for perm in shuffles(f.arity, g.arity):
-            eps = koszul_sign(perm, degs)
-            first = [labels[i] for i in perm[: f.arity]]
-            second = [labels[i] for i in perm[f.arity:]]
-            cross = sign_pow(g.degree * sum(degs[i] for i in perm[: f.arity]))
-            piece = f.value(first) * g.value(second)
-            piece = piece * (eps * cross)
-            out = out + piece
-        return out
-
-    return MultilinearMap(f.source_bundle, f.target_bundle, arity, degree, fn)
-
-
 class Coderivation:
     """Coderivation of the word coalgebra, given by corestrictions.
 

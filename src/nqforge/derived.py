@@ -64,15 +64,3 @@ class DerivedSetup:
             if key:
                 raise ValueError("unexpected generators after contraction")
         return contracted.body()
-
-    def leibniz_probe(self, sections, slot, poly):
-        """Linearity defect of the derived bracket in one slot:
-        bracket(..., poly * X_slot, ...) minus poly * bracket(...).
-
-        For the binary bracket the defect must reproduce the anchor term;
-        for every other arity it must vanish.  The caller compares."""
-        scaled = list(sections)
-        scaled[slot] = scaled[slot].scale(poly)
-        plain = self.bracket(sections)
-        bent = self.bracket(scaled)
-        return bent - plain.scale(poly)

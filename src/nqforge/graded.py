@@ -6,9 +6,8 @@ bundle and its degree shift: the same label names a frame of the unshifted
 piece of degree -a and, on the shifted side, a frame of degree -(a-1).
 Sections store frame coefficients as exact polynomials.
 
-Sign helpers live in signs.py; this module re-exports the ones that belong
-to the graded calculus (koszul_sign, chi_sign, suspension signs) and adds
-shuffle and set-partition enumeration and tuple normalization, and the
+Sign helpers live in signs.py and are imported from there.  This module
+adds shuffle and set-partition enumeration and tuple normalization, and the
 sparse multilinear table format that bracket families and morphism
 components share: validate_table checks one, table_value looks an entry
 up at a frame tuple in any order.
@@ -19,31 +18,17 @@ from __future__ import annotations
 import itertools
 
 from .polyring import Polynomial
-from .signs import (
-    chi_sign,
-    koszul_sign,
-    perm_sign,
-    sort_sign,
-    suspension_power_sign,
-    suspend_tuple_sign,
-)
+from .signs import sort_sign
 
 __all__ = [
     "GradedBundle",
     "Section",
-    "koszul_sign",
-    "chi_sign",
-    "perm_sign",
-    "suspension_power_sign",
-    "suspend_tuple_sign",
     "shuffles",
     "set_partitions",
     "canonical_tuples",
     "normalize_tuple",
     "validate_table",
     "table_value",
-    "suspend_tuple",
-    "desuspend_tuple",
 ]
 
 
@@ -106,12 +91,6 @@ class GradedBundle:
         magnitude a, regardless of side."""
         return self.magnitude(label)
 
-    def rank(self, a):
-        return len(self.labels_by_magnitude.get(a, ()))
-
-    def over_point(self):
-        return not self.base_coordinates
-
     def shifted(self):
         """The same frames viewed on the other side of the degree shift."""
         other = "sE" if self.side == "E" else "E"
@@ -167,24 +146,11 @@ class Section:
     def degrees(self):
         return sorted({self.bundle.degree(lab) for lab in self.components})
 
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def degree(self):
         degs = self.degrees()
         if len(degs) != 1:
             raise ValueError("section is not homogeneous: degrees %r" % degs)
         return degs[0]
-
-    def homogeneous_part(self, degree):
-        return Section(
-            self.bundle,
-            {
-                lab: poly
-                for lab, poly in self.components.items()
-                if self.bundle.degree(lab) == degree
-            },
-        )
 
     def __add__(self, other):
         if not isinstance(other, Section):
@@ -225,14 +191,6 @@ class Section:
             and self.bundle.side == other.bundle.side
             and self.components == other.components
         )
-
-    def reside(self, bundle):
-        """The same frame data viewed on another bundle with equal frames
-        (used to move a section across the degree shift: the shift does not
-        touch single sections, only tuples pick up signs)."""
-        if not self.bundle.same_frames(bundle):
-            raise ValueError("bundles do not share frames")
-        return Section(bundle, dict(self.components))
 
     def __repr__(self):
         if not self.components:
@@ -385,33 +343,3 @@ def table_value(tables, labels, bundle, symmetric, weight=None):
         return entry
     return {lab: poly * sign for lab, poly in entry.items()}
 
-
-def suspend_tuple(sections):
-    """Move a tuple of unshifted homogeneous sections across the degree
-    shift: returns (sign, list of shifted sections).
-
-    The sign is the product rule of the i-fold shift hitting the tuple,
-    suspend_tuple_sign of the unshifted entry degrees.
-    """
-    if not sections:
-        return 1, []
-    if any(sec.bundle.side != "E" for sec in sections):
-        raise ValueError("suspend_tuple expects unshifted sections")
-    degrees = [sec.degree() for sec in sections]
-    sign = suspend_tuple_sign(degrees)
-    shifted = [sec.reside(sec.bundle.shifted()) for sec in sections]
-    return sign, shifted
-
-
-def desuspend_tuple(sections):
-    """Inverse of suspend_tuple: shifted sections back to unshifted ones,
-    with the sign computed from the unshifted degrees (the two directions
-    carry the same sign, which is what makes the round trip exact)."""
-    if not sections:
-        return 1, []
-    if any(sec.bundle.side != "sE" for sec in sections):
-        raise ValueError("desuspend_tuple expects shifted sections")
-    lowered = [sec.reside(sec.bundle.shifted()) for sec in sections]
-    degrees = [sec.degree() for sec in lowered]
-    sign = suspend_tuple_sign(degrees)
-    return sign, lowered

@@ -254,7 +254,8 @@ def _q_from_dict(data, bundle, context):
 
 def structure_from_dict(data, context="structure"):
     """Build an algebroid (side sE) or antialgebroid (side E) plus the raw
-    degree-+1 field of the optional "q" block."""
+    field of the optional "q" block, which must be zero or homogeneous of
+    standard degree +1."""
     data = _expect_dict(data, context, _STRUCTURE_KEYS)
     if data.get("kind", "structure") != "structure":
         raise StructureFileError("kind must be \"structure\"", context)
@@ -275,6 +276,12 @@ def structure_from_dict(data, context="structure"):
     if "q" in data:
         e_bundle = bundle if bundle.side == "E" else bundle.shifted()
         q = _q_from_dict(data["q"], e_bundle, context + ".q")
+        degrees = list(q.std_parts())
+        if degrees not in ([], [1]):
+            raise StructureFileError(
+                "field has standard degrees %r, expected [1]" % degrees,
+                context + ".q",
+            )
     return struct, q
 
 
@@ -403,11 +410,11 @@ def q_to_terms(q):
     return out
 
 
-def morphism_to_dict(morph, source, target, source_q=None, target_q=None):
+def morphism_to_dict(morph, source, target):
     return {
         "kind": "morphism",
-        "source": structure_to_dict(source, source_q),
-        "target": structure_to_dict(target, target_q),
+        "source": structure_to_dict(source),
+        "target": structure_to_dict(target),
         "base_map": {
             c: str(p) for c, p in sorted(morph.base_map.images.items())
         },

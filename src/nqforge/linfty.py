@@ -6,7 +6,10 @@ antisymmetric brackets of degree 2-i on the shifted bundle (degrees
 0..-(n-1)).  Both store structure functions in the sparse table format of
 graded.py (validate_table checks it, table_value looks entries up),
 evaluate on arbitrary sections by multilinear expansion, and verify their
-homotopy Jacobi identities on frame tuples.
+homotopy Jacobi identities on frame tuples.  Both identities are the same
+sum over shuffles of nested brackets, computed by one loop
+(homotopy_residual_on_sections); only the per-term sign differs, and each
+structure class supplies its own (_identity_sign).
 
 Evaluation is C-infinity-multilinear unless an anchor is passed, in which
 case the binary bracket gains the usual directional-derivative corrections;
@@ -26,14 +29,18 @@ from .polyring import Polynomial
 from .graded import (
     Section,
     canonical_tuples,
-    chi_sign,
-    koszul_sign,
     normalize_tuple,
     shuffles,
     table_value,
     validate_table,
 )
-from .signs import algebra_identity_sign, bracket_transfer_sign, sign_pow
+from .signs import (
+    algebra_identity_sign,
+    bracket_transfer_sign,
+    chi_sign,
+    koszul_sign,
+    sign_pow,
+)
 from .coalgebra import Coderivation, MultilinearMap
 from .outcome import Outcome
 from .superalg import SuperFunction
@@ -138,6 +145,10 @@ class AntialgebraStructure(_BracketFamily):
         # acts carries (-1)^(degree of the first entry)
         return sign_pow(self.bundle.magnitude(first_label))
 
+    def _identity_sign(self, i, perm, degs):
+        # the symmetric identity signs each nesting by Koszul's rule alone
+        return koszul_sign(perm, degs)
+
 
 class AlgebraStructure(_BracketFamily):
     """Graded antisymmetric brackets of degree 2-i on the shifted bundle."""
@@ -156,15 +167,20 @@ class AlgebraStructure(_BracketFamily):
         # antisymmetry against a degree-0 acting entry always gives -1
         return -1
 
+    def _identity_sign(self, i, perm, degs):
+        # (-1)^(i(j-1)) with j = t+1-i, times the signed Koszul sign
+        return algebra_identity_sign(i, len(perm) + 1 - i) * chi_sign(perm, degs)
 
-def homotopy_residual_on_sections(struct, sections, anchor=None):
-    """Left side of the degree-+1 symmetric homotopy identity on a tuple of
-    homogeneous sections: sum over i+j = t+1 and (i, t-i)-shuffles of
-    Koszul-signed nestings.  Scaling a section by a base polynomial keeps
-    its degree, so the signs are those of the underlying frames."""
+
+def homotopy_residual_on_sections(struct, labels, sections, anchor=None):
+    """Left side of the homotopy identity of struct at a frame tuple: sum
+    over i+j = t+1 and (i, t-i)-shuffles of nested brackets, each nonzero
+    term signed by struct._identity_sign.  sections are the frames named
+    by labels, or those frames scaled by base polynomials; scaling keeps a
+    frame's degree, so the signs are read off the labels."""
     bundle = struct.bundle
-    t = len(sections)
-    degs = [sec.degree() for sec in sections]
+    t = len(labels)
+    degs = [bundle.degree(lab) for lab in labels]
     total = bundle.zero_section()
     for i in range(1, t + 1):
         for perm in shuffles(i, t - i):
@@ -175,38 +191,23 @@ def homotopy_residual_on_sections(struct, sections, anchor=None):
                 [inner] + [sections[p] for p in perm[i:]], anchor
             )
             if not outer.is_zero():
-                total = total + outer.scale(koszul_sign(perm, degs))
+                sign = struct._identity_sign(i, perm, degs)
+                total = total + outer.scale(sign)
     return total
 
 
 def homotopy_residual_symmetric(struct, labels, anchor=None):
-    """homotopy_residual_on_sections at one frame tuple."""
+    """Residual of the symmetric identity of an AntialgebraStructure at one
+    frame tuple."""
     frames = [struct.bundle.frame_section(lab) for lab in labels]
-    return homotopy_residual_on_sections(struct, frames, anchor)
+    return homotopy_residual_on_sections(struct, labels, frames, anchor)
 
 
 def homotopy_residual_antisymmetric(struct, labels, anchor=None):
-    """Left side of the antisymmetric homotopy identity at one frame tuple,
-    weighted by (-1)^(i(j-1)) times the signed Koszul sign."""
-    bundle = struct.bundle
-    t = len(labels)
-    degs = [bundle.degree(lab) for lab in labels]
-    frames = [bundle.frame_section(lab) for lab in labels]
-    total = bundle.zero_section()
-    for i in range(1, t + 1):
-        j = t + 1 - i
-        w = algebra_identity_sign(i, j)
-        for perm in shuffles(i, t - i):
-            chi = chi_sign(perm, degs)
-            inner = struct.evaluate([frames[p] for p in perm[:i]], anchor)
-            if inner.is_zero():
-                continue
-            outer = struct.evaluate(
-                [inner] + [frames[p] for p in perm[i:]], anchor
-            )
-            if not outer.is_zero():
-                total = total + outer.scale(w * chi)
-    return total
+    """Residual of the antisymmetric identity of an AlgebraStructure at one
+    frame tuple."""
+    frames = [struct.bundle.frame_section(lab) for lab in labels]
+    return homotopy_residual_on_sections(struct, labels, frames, anchor)
 
 
 def _sweep(struct, residual_fn, r_max, anchor):

@@ -381,13 +381,6 @@ def check_bracket_conditions(morph, source, target, path="auto", t_max=None):
     return all_of(rows)
 
 
-def check_morphism(morph, source, target):
-    """Anchor condition plus bracket conditions; the geometric verdict."""
-    anchor = check_anchor_condition(morph, source, target)
-    brackets = check_bracket_conditions(morph, source, target)
-    return anchor, brackets
-
-
 # ----- the algebraic condition -----
 
 
@@ -451,9 +444,13 @@ class MorphismReport:
 
 
 def verify_morphism(morph, source, target):
-    anchor, brackets = check_morphism(morph, source, target)
-    equivariance = check_equivariance(morph, source, target)
-    return MorphismReport(anchor, brackets, equivariance)
+    """Both formulations: the anchor and bracket conditions (geometric),
+    then equivariance (algebraic)."""
+    return MorphismReport(
+        check_anchor_condition(morph, source, target),
+        check_bracket_conditions(morph, source, target),
+        check_equivariance(morph, source, target),
+    )
 
 
 # ----- the rank-zero-base reduction on the shifted side -----

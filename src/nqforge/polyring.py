@@ -73,12 +73,6 @@ class Polynomial:
             return Fraction(0)
         return next(iter(self.terms.values()))
 
-    def total_degree(self):
-        """Largest total degree among terms, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(exps) for exps in self.terms)
-
     def _check_same_ring(self, other):
         if self.coordinates != other.coordinates:
             raise ValueError(
@@ -473,13 +467,6 @@ class BaseMap:
             name: other.pullback(img) for name, img in self.images.items()
         }
         return BaseMap(other.source_coordinates, self.target_coordinates, images)
-
-    def jacobian(self):
-        """Matrix of partials: jacobian()[y][x] = d(image of y)/dx."""
-        return {
-            y: {x: img.partial(x) for x in self.source_coordinates}
-            for y, img in self.images.items()
-        }
 
     def is_identity(self):
         if self.source_coordinates != self.target_coordinates:

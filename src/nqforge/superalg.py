@@ -127,12 +127,6 @@ class SuperFunction:
             for k, t in sorted(parts.items())
         }
 
-    def std_part(self, k):
-        return SuperFunction._trusted(
-            self.bundle,
-            {key: c for key, c in self.terms.items() if self._key_std(key) == k},
-        )
-
     def std_degree(self):
         degs = sorted({self._key_std(key) for key in self.terms})
         if not degs:
@@ -446,23 +440,7 @@ class Derivation:
         return "Derivation(%s)" % body
 
 
-# ----- distinguished derivations -----
-
-
-def euler_standard(bundle):
-    """Weight field of the standard grading: eats a function of standard
-    degree k and returns k times it."""
-    images = {}
-    for lab in bundle.label_index:
-        images[lab] = SuperFunction.generator(lab, bundle) * bundle.generator_degree(lab)
-    return Derivation(bundle, images)
-
-
-def euler_homological(bundle):
-    """Weight field of the generator count: multiplies an s-generator term
-    by s."""
-    images = {lab: SuperFunction.generator(lab, bundle) for lab in bundle.label_index}
-    return Derivation(bundle, images)
+# ----- contractions -----
 
 
 def interior_product(section):

@@ -147,6 +147,24 @@ def test_from_q_without_field_is_an_input_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_q_block_of_wrong_degree_is_an_input_error(capsys, tmp_path):
+    # degree 2, then degrees 1 and 2 mixed: every structure command refuses
+    # the block with its context instead of a traceback or a verdict
+    blocks = [
+        {"x": [["1", ["e1", "e2"]]]},
+        {"x": [["1", ["e1"]], ["1", ["e1", "e2"]]]},
+    ]
+    for i, block in enumerate(blocks):
+        data = json.loads(pathlib.Path(fx("action_line.json")).read_text())
+        data["q"] = block
+        p = tmp_path / ("badq%d.json" % i)
+        p.write_text(json.dumps(data))
+        for command in ("verify", "to-q", "from-q", "roundtrip"):
+            code, out, err = run(capsys, [command, str(p)])
+            assert code == 2, (command, block)
+            assert "error: %s.q:" % p in err, (command, block)
+
+
 def test_roundtrip_structure(capsys):
     code, out, err = run(capsys, ["roundtrip", fx("jacobiator_point.json")])
     assert code == 0

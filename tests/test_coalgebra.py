@@ -10,7 +10,6 @@ from nqforge.coalgebra import (
     check_coderivation_law,
     check_cohomomorphism_law,
     coproduct,
-    product_of_maps,
 )
 from nqforge.linfty import antialgebra_coderivation, basis_words
 from nqforge.superalg import SuperFunction
@@ -81,19 +80,6 @@ def test_coderivation_law_holds_even_for_broken_brackets():
     delta = antialgebra_coderivation(anti.brackets)
     rep = check_coderivation_law(delta, basis_words(anti.bundle, 4))
     assert rep.ok, repr(rep)
-
-
-def test_product_of_maps_degree_and_arity():
-    def fn1(labels):
-        return SuperFunction.generator("w", B)
-
-    f = MultilinearMap(B, B, 2, 0, fn1)
-    g = MultilinearMap(B, B, 1, 0, lambda labels: SuperFunction.generator(labels[0], B))
-    fg = product_of_maps(f, g)
-    assert fg.arity == 3
-    assert fg.degree == 0
-    out = fg.value(("u", "v", "w"))
-    assert not out.is_zero()
 
 
 def test_cohomomorphism_law_with_two_slot_component():

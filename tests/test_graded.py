@@ -26,11 +26,8 @@ def bundle2(side="E"):
 def test_bundle_basic():
     b = bundle2()
     assert b.n == 2
-    assert b.rank(1) == 2
-    assert b.rank(2) == 1
     assert b.labels() == ["u", "v", "h"]
     assert b.magnitude("h") == 2
-    assert not b.over_point()
 
 
 def test_bundle_degrees_by_side():
@@ -86,11 +83,9 @@ def test_section_algebra():
 def test_section_mixed_degree():
     b = bundle2()
     s = b.frame_section("u") + b.frame_section("h")
-    assert not s.is_homogeneous()
     assert s.degrees() == [-2, -1]
     with pytest.raises(ValueError):
         s.degree()
-    assert s.homogeneous_part(-2) == b.frame_section("h")
 
 
 def test_section_rejects_unknown_frame():

@@ -1,6 +1,6 @@
 """Every name imported in src/, tests/ and scripts/ is used where it is
-imported.  Names listed in a module's __all__ count as used (graded.py
-re-exports sign helpers), and __future__ imports are skipped."""
+imported.  Names listed in a module's __all__ count as used, and
+__future__ imports are skipped."""
 
 import ast
 import pathlib

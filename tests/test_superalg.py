@@ -8,8 +8,6 @@ from nqforge.superalg import (
     SuperFunction,
     check_homological,
     element_from_values,
-    euler_homological,
-    euler_standard,
     evaluate_element,
     extract_section,
     interior_product,
@@ -129,12 +127,6 @@ def test_derivation_product_rule():
     # graded Leibniz: d has standard degree +1, a has standard degree 1
     rhs = d.apply(a) * b + (a * d.apply(b)) * (-1)
     assert lhs == rhs
-
-
-def test_euler_fields_count_degrees():
-    w = gen("u") * gen("h")
-    assert euler_standard(B).apply(w) == w * 3
-    assert euler_homological(B).apply(w) == w * 2
 
 
 def test_check_homological():
