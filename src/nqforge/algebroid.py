@@ -51,7 +51,7 @@ from .linfty import (
     verify_antialgebra,
 )
 from .derived import DerivedSetup
-from .outcome import Outcome, all_of
+from .outcome import Outcome, all_of, timed
 
 
 def _validate_anchor(bundle, anchor):
@@ -223,35 +223,6 @@ def extract_algebroid(bundle, q):
 # ----- verification -----
 
 
-class AlgebroidReport:
-    """Three routes to validity: the field squares to zero, the anchored
-    frame identities (with anchor compatibility) hold, and the identity
-    residuals are function-linear slotwise.  agrees records whether the
-    verdicts coincide, which the correspondence theorem demands.  A pass
-    that proves nothing is left out of the comparison: a vacuous one, and
-    one whose sweep stopped below arity n+2 (complete false)."""
-
-    def __init__(self, square, identities, linearity, complete=True):
-        self.square = square
-        self.identities = identities
-        self.linearity = linearity
-        verdicts = {square.ok}
-        for route in (identities, linearity):
-            if not route.ok or (complete and not route.vacuous):
-                verdicts.add(route.ok)
-        self.agrees = len(verdicts) == 1
-        self.ok = square.ok and identities.ok and linearity.ok
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return (
-            "AlgebroidReport(square=%r, identities=%r, linearity=%r, agrees=%r)"
-            % (self.square, self.identities, self.linearity, self.agrees)
-        )
-
-
 def anchor_compatibility(anti):
     """The anchor conditions forced by a vanishing square: the anchor
     annihilates unary-bracket images of degree -2 frames, and the anchor of
@@ -317,7 +288,9 @@ def check_identities(anti, r_max=None):
     every tuple of arity 1..r_max (default n+2), and the anchor is
     compatible with the brackets."""
     ids = verify_antialgebra(anti.brackets, r_max=r_max, anchor=anti.anchor)
-    return anchor_compatibility(anti) if ids.ok else ids
+    out = anchor_compatibility(anti) if ids.ok else ids
+    out.complete = ids.complete
+    return out
 
 
 def residual_linearity(anti, r_max=None):
@@ -327,13 +300,15 @@ def residual_linearity(anti, r_max=None):
     For each arity, frame tuple, slot, and probe polynomial, the residual
     with one frame scaled by the probe must equal the probe times the plain
     residual.  Over a rank-zero base there is nothing to scale by and the
-    outcome is vacuous.
+    outcome is vacuous.  A pass is complete when the sweep reached arity
+    n+2.
     """
     bundle = anti.bundle
     if r_max is None:
         r_max = bundle.n + 2
+    complete = r_max >= bundle.n + 2
     if not bundle.base_coordinates:
-        return Outcome(True, vacuous=True, detail="rank-zero base")
+        return Outcome(True, vacuous=True, detail="rank-zero base", complete=complete)
     probes = _linearity_probes(bundle)
     labels = bundle.labels()
     struct = anti.brackets
@@ -356,19 +331,32 @@ def residual_linearity(anti, r_max=None):
                             witness=(t, key, slot, str(probe)),
                             detail=repr(defect),
                         )
-    return Outcome(True)
+    return Outcome(True, complete=complete)
 
 
 def verify_algebroid(a, r_max=None):
     """Cross-examine an algebroid three ways, sweeping arities 1..r_max
-    (default n+2); see AlgebroidReport."""
+    (default n+2): the conjunction (outcome.all_of) of one timed row per
+    route and "routes agree", which passes when the verdicts coincide, as
+    the correspondence theorem demands.  A vacuous or incomplete pass
+    proves nothing and is left out of the comparison."""
     anti = _as_antialgebroid(a)
-    return AlgebroidReport(
-        check_square(anti),
-        check_identities(anti, r_max),
-        residual_linearity(anti, r_max),
-        complete=r_max is None or r_max >= anti.n + 2,
-    )
+    square = timed(check_square, anti)
+    identities = timed(check_identities, anti, r_max)
+    linearity = timed(residual_linearity, anti, r_max)
+    verdicts = {square.ok}
+    for route in (identities, linearity):
+        if not route.ok or (route.complete and not route.vacuous):
+            verdicts.add(route.ok)
+    agree = Outcome(len(verdicts) == 1, {
+        "square": square.ok, "identities": identities.ok, "linearity": linearity.ok,
+    })
+    return all_of([
+        ("differential squares to zero", square),
+        ("frame identities with anchor corrections", identities),
+        ("identity residuals are function-linear", linearity),
+        ("routes agree", agree),
+    ])
 
 
 # ----- consequences -----
@@ -381,14 +369,15 @@ def consequence_checks(a):
     the differential reproduce the symmetric brackets up to (-1)^r, and the
     contraction-of-the-differential anchor matches the declared one.
 
-    Returns the conjunction of the named rows (see outcome.all_of)."""
+    Returns the conjunction of the named rows, each timed (see
+    outcome.all_of)."""
     anti = _as_antialgebroid(a)
     setup = DerivedSetup(anti.bundle, ce_differential(anti))
     return all_of([
-        ("anchor-compatibility", anchor_compatibility(anti)),
-        ("derived-brackets-match", _derived_brackets_match(anti, setup)),
-        ("derived-anchor-matches", _derived_anchor_matches(anti, setup)),
-        ("lower-degree-anchor-vanishes", _lower_anchor_vanishes(anti, setup)),
+        ("anchor-compatibility", timed(anchor_compatibility, anti)),
+        ("derived-brackets-match", timed(_derived_brackets_match, anti, setup)),
+        ("derived-anchor-matches", timed(_derived_anchor_matches, anti, setup)),
+        ("lower-degree-anchor-vanishes", timed(_lower_anchor_vanishes, anti, setup)),
     ])
 
 

@@ -8,9 +8,10 @@ Subcommands:
     nqforge roundtrip FILE        both directions compose to the identity
     nqforge check-morphism FILE   geometric and algebraic morphism conditions
 
-Every subcommand accepts --json for machine-readable output, --max-arity to
-cap the swept arities, and --seed for the randomized spot checks.  A sweep
-that passes but stops below the arity its theorem needs (n+2 for the
+Every subcommand accepts --json for machine-readable output and --max-arity
+K (K >= 1) to cap the swept arities; check-morphism also takes --seed for
+its random spot check.  verify and check-morphism render the library's rows.
+A sweep that passes but stops below the arity its theorem needs (n+2 for the
 identity and linearity routes, n+1 for the bracket conditions) has status
 "incomplete", and the agreement rows leave it out.  Exit status: 0 when no
 check fails, 1 when a check fails (the report then carries a witness), 2 on
@@ -21,34 +22,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 
-from .polyring import Polynomial
-from .superalg import SuperFunction
 from .algebroid import (
-    AlgebroidReport,
     _as_antialgebroid,
     ce_differential,
-    check_identities,
-    check_square,
     consequence_checks,
     extract_algebroid,
-    residual_linearity,
     to_algebroid,
     to_antialgebroid,
+    verify_algebroid,
 )
-from .morphism import (
-    MorphismReport,
-    bracket_path,
-    build_phi,
-    check_anchor_condition,
-    check_bracket_conditions,
-    check_equivariance,
-    extract_morphism,
-)
-from .outcome import Outcome
+from .morphism import build_phi, extract_morphism, verify_morphism
+from .outcome import Outcome, timed
 from . import io as structio
 
 
@@ -62,48 +48,45 @@ def _json_safe(value):
     return str(value)
 
 
-class Report:
-    """Per-check status lines with timing.  A check is a function returning
-    an Outcome; its status is "pass", "fail" (recorded with the witness) or
-    "incomplete": a non-vacuous pass of a sweep that stopped below the
-    arity its theorem needs (complete false)."""
+def _status(outcome):
+    """"fail", "pass", or "incomplete": a non-vacuous pass of a sweep that
+    stopped below the arity its theorem needs."""
+    if not outcome.ok:
+        return "fail"
+    if outcome.complete or outcome.vacuous:
+        return "pass"
+    return "incomplete"
 
-    def __init__(self, command, path):
+
+class Report:
+    """Named Outcome rows, rendered with their status, witness and time."""
+
+    def __init__(self, command, path, rows=()):
         self.command = command
         self.path = path
-        self.rows = []
+        self.rows = list(rows)
 
-    def check(self, name, fn, complete=True):
-        start = time.perf_counter()
-        outcome = fn()
-        seconds = time.perf_counter() - start
-        if not outcome.ok:
-            status = "fail"
-        elif complete or outcome.vacuous:
-            status = "pass"
-        else:
-            status = "incomplete"
-        self.rows.append((name, status, outcome.witness, seconds))
-        return outcome
+    def check(self, name, fn):
+        self.rows.append((name, timed(fn)))
 
     @property
     def ok(self):
-        return all(status != "fail" for _, status, _, _ in self.rows)
+        return all(outcome.ok for _, outcome in self.rows)
 
     def render_text(self, out):
         print("%s %s" % (self.command, self.path), file=out)
-        for name, status, witness, seconds in self.rows:
-            print("  [%s] %s (%.3fs)" % (status.upper(), name, seconds), file=out)
-            if witness is not None:
-                print("         witness: %s" % json.dumps(_json_safe(witness)), file=out)
+        for name, outcome in self.rows:
+            print("  [%s] %s (%.3fs)" % (_status(outcome).upper(), name, outcome.seconds), file=out)
+            if outcome.witness is not None:
+                print("         witness: %s" % json.dumps(_json_safe(outcome.witness)), file=out)
         print("result: %s" % ("PASS" if self.ok else "FAIL"), file=out)
 
     def to_json(self, extra=None):
         checks = []
-        for name, status, witness, seconds in self.rows:
-            row = {"name": name, "status": status, "seconds": round(seconds, 6)}
-            if witness is not None:
-                row["witness"] = _json_safe(witness)
+        for name, outcome in self.rows:
+            row = {"name": name, "status": _status(outcome), "seconds": round(outcome.seconds, 6)}
+            if outcome.witness is not None:
+                row["witness"] = _json_safe(outcome.witness)
             checks.append(row)
         data = {
             "command": self.command,
@@ -133,38 +116,9 @@ def _finish(args, report, extra=None, text_body=None):
 def cmd_verify(args):
     struct, _ = structio.load_structure(args.file)
     anti = _as_antialgebroid(struct)
-    r_max = args.max_arity
-    complete = r_max is None or r_max >= anti.n + 2
-    report = Report("verify", args.file)
-    square = report.check(
-        "differential squares to zero", lambda: check_square(anti)
-    )
-    identities = report.check(
-        "frame identities with anchor corrections",
-        lambda: check_identities(anti, r_max),
-        complete,
-    )
-    linearity = report.check(
-        "identity residuals are function-linear",
-        lambda: residual_linearity(anti, r_max),
-        complete,
-    )
-    res = AlgebroidReport(square, identities, linearity, complete)
-    report.check(
-        "routes agree",
-        lambda: Outcome(
-            res.agrees,
-            {
-                "square": square.ok,
-                "identities": identities.ok,
-                "linearity": linearity.ok,
-            },
-        ),
-    )
-    # the rows come from one sweep, so each row's time reads zero
-    for name, outcome in consequence_checks(anti).detail:
-        report.check(name, lambda outcome=outcome: outcome)
-    return _finish(args, report)
+    rows = verify_algebroid(anti, args.max_arity).detail
+    rows += consequence_checks(anti).detail
+    return _finish(args, Report("verify", args.file, rows))
 
 
 # ----- to-q -----
@@ -316,70 +270,20 @@ def _q_match(declared, regenerated):
 # ----- check-morphism -----
 
 
-def _random_superfunction(rng, bundle, degree=2):
-    total = SuperFunction.zero(bundle)
-    labels = bundle.labels()
-    coords = bundle.base_coordinates
-    for _ in range(3):
-        coeff = Polynomial.constant(rng.randint(-3, 3), coords)
-        for c in coords:
-            if rng.random() < 0.5:
-                coeff = coeff * Polynomial.variable(c, coords)
-        piece = SuperFunction.from_polynomial(coeff, bundle)
-        for _ in range(rng.randint(0, min(degree, len(labels)) if labels else 0)):
-            piece = piece * SuperFunction.generator(rng.choice(labels), bundle)
-        total = total + piece
-    return total
-
-
 def cmd_check_morphism(args):
     morph, source, target = structio.load_morphism(args.file)
-    t_max = args.max_arity
-    complete = t_max is None or t_max >= morph.n + 1
-    report = Report("check-morphism", args.file)
-    anchor = report.check(
-        "anchor condition", lambda: check_anchor_condition(morph, source, target)
-    )
-    brackets = check_bracket_conditions(morph, source, target, t_max=t_max)
-    # the rows come from one sweep, so each row's time reads zero
-    for t, outcome in brackets.detail:
-        report.check(
-            "bracket condition, arity %d (%s path)" % (t, bracket_path(morph)),
-            lambda outcome=outcome: outcome,
-            complete,
-        )
-    phi = build_phi(morph)
-    equivariance = report.check(
-        "differential equivariance",
-        lambda: check_equivariance(phi, source, target),
-    )
-    summary = MorphismReport(anchor, brackets, equivariance, complete)
-    report.check(
-        "formulations agree",
-        lambda: Outcome(
-            summary.agrees,
-            {
-                "geometric": summary.geometric_ok,
-                "algebraic": summary.algebraic_ok,
-            },
-        ),
-    )
-    rng = random.Random(args.seed)
-    tgt_bundle = phi.target_bundle
-
-    def multiplicativity():
-        for _ in range(4):
-            a = _random_superfunction(rng, tgt_bundle)
-            b = _random_superfunction(rng, tgt_bundle)
-            if phi.apply(a * b) != phi.apply(a) * phi.apply(b):
-                return Outcome(False, {"a": str(a), "b": str(b)})
-        return Outcome(True)
-
-    report.check("random multiplicativity spot check", multiplicativity)
-    return _finish(args, report)
+    rows = verify_morphism(morph, source, target, args.max_arity, args.seed).detail
+    return _finish(args, Report("check-morphism", args.file, rows))
 
 
 # ----- entry point -----
+
+
+def _max_arity(text):
+    """argparse type of --max-arity: an integer K >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError("expected an integer K >= 1, got %r" % text)
+    return int(text)
 
 
 def build_parser():
@@ -404,18 +308,19 @@ def build_parser():
         )
         p.add_argument(
             "--max-arity",
-            type=int,
+            type=_max_arity,
             default=None,
             metavar="K",
-            help="cap the arities swept by the checks",
+            help="cap the arities swept by the checks (K >= 1)",
         )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=0,
-            metavar="N",
-            help="seed for the randomized spot checks",
-        )
+        if name == "check-morphism":
+            p.add_argument(
+                "--seed",
+                type=int,
+                default=0,
+                metavar="N",
+                help="seed for the randomized spot check",
+            )
         p.set_defaults(func=fn)
     return parser
 

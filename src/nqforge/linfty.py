@@ -211,28 +211,29 @@ def homotopy_residual_antisymmetric(struct, labels, anchor=None):
 
 
 def _sweep(struct, residual_fn, r_max, anchor):
+    """Residuals on all frame multisets of arity 1..r_max (default n+2); a
+    pass is complete when the sweep reached arity n+2, the arity the
+    correspondence theorem needs."""
     labels = struct.bundle.labels()
+    if r_max is None:
+        r_max = struct.bundle.n + 2
     for t in range(1, r_max + 1):
         for key in canonical_tuples(labels, t):
             res = residual_fn(struct, key, anchor)
             if not res.is_zero():
                 return Outcome(False, witness=(t, key), detail=res)
-    return Outcome(True)
+    return Outcome(True, complete=r_max >= struct.bundle.n + 2)
 
 
 def verify_antialgebra(struct, r_max=None, anchor=None):
     """Check the symmetric homotopy identities on all frame multisets of
     arity 1..r_max (default n+2)."""
-    if r_max is None:
-        r_max = struct.bundle.n + 2
     return _sweep(struct, homotopy_residual_symmetric, r_max, anchor)
 
 
 def verify_algebra(struct, r_max=None, anchor=None):
     """Check the antisymmetric homotopy identities on all frame multisets
     of arity 1..r_max (default n+2)."""
-    if r_max is None:
-        r_max = struct.bundle.n + 2
     return _sweep(struct, homotopy_residual_antisymmetric, r_max, anchor)
 
 

@@ -33,6 +33,7 @@ give the same summand.
 from __future__ import annotations
 
 import itertools
+import random
 
 from .polyring import Polynomial, BaseMap
 from .graded import (
@@ -55,7 +56,7 @@ from .signs import (
 from .superalg import SuperFunction, element_from_values, element_values
 from .linfty import apply_anchor
 from .algebroid import _as_algebroid, _as_antialgebroid, ce_differential
-from .outcome import Outcome, all_of
+from .outcome import Outcome, all_of, timed
 
 
 def _acc(target, label, poly):
@@ -352,8 +353,9 @@ def check_bracket_conditions(morph, source, target, path="auto", t_max=None):
     simplified one requires a base-preserving morphism).  The two forms are
     checked against each other in the test suite, not merged here.
 
-    Returns the conjunction of one row per arity (see outcome.all_of); a
-    row's witness is the first failing frame tuple with its defect.
+    Returns the conjunction of one timed row per arity (see
+    outcome.all_of); a row's witness is the first failing frame tuple with
+    its defect, and a pass is complete when the sweep reached arity n+1.
     """
     src = _as_antialgebroid(source)
     tgt = _as_antialgebroid(target)
@@ -365,9 +367,9 @@ def check_bracket_conditions(morph, source, target, path="auto", t_max=None):
     labels = morph.source_bundle.labels()
     if t_max is None:
         t_max = morph.n + 1
-    rows = []
-    for t in range(1, t_max + 1):
-        outcome = Outcome(True)
+    complete = t_max >= morph.n + 1
+
+    def row(t):
         for key in canonical_tuples(labels, t):
             canon, sign = normalize_tuple(key, morph.source_bundle, True)
             if sign == 0:
@@ -375,10 +377,10 @@ def check_bracket_conditions(morph, source, target, path="auto", t_max=None):
             defect = defect_fn(morph, src, tgt, key)
             if defect:
                 witness = (key, {lab: str(p) for lab, p in defect.items()})
-                outcome = Outcome(False, witness=witness)
-                break
-        rows.append((t, outcome))
-    return all_of(rows)
+                return Outcome(False, witness=witness)
+        return Outcome(True, complete=complete)
+
+    return all_of([(t, timed(row, t)) for t in range(1, t_max + 1)])
 
 
 # ----- the algebraic condition -----
@@ -414,42 +416,54 @@ def check_equivariance(morph_or_phi, source, target):
     return Outcome(True)
 
 
-class MorphismReport:
-    """Both formulations side by side.  geometric is anchor plus brackets,
-    algebraic is equivariance of the induced algebra morphism, and agrees
-    records the coincidence of verdicts that the correspondence theorem
-    demands on morphisms and non-morphisms alike.  A geometric pass whose
-    bracket sweep stopped below arity n+1 (complete false) proves nothing,
-    so it agrees with either algebraic verdict."""
-
-    def __init__(self, anchor, brackets, equivariance, complete=True):
-        self.anchor = anchor
-        self.brackets = brackets
-        self.equivariance = equivariance
-        self.geometric_ok = anchor.ok and brackets.ok
-        self.algebraic_ok = equivariance.ok
-        self.agrees = self.geometric_ok == self.algebraic_ok or (
-            self.geometric_ok and not complete
-        )
-        self.ok = self.geometric_ok and self.algebraic_ok
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return (
-            "MorphismReport(geometric=%r, algebraic=%r, agrees=%r)"
-            % (self.geometric_ok, self.algebraic_ok, self.agrees)
-        )
+def _random_superfunction(rng, bundle, degree=2):
+    total = SuperFunction.zero(bundle)
+    labels = bundle.labels()
+    coords = bundle.base_coordinates
+    for _ in range(3):
+        coeff = Polynomial.constant(rng.randint(-3, 3), coords)
+        for c in coords:
+            if rng.random() < 0.5:
+                coeff = coeff * Polynomial.variable(c, coords)
+        piece = SuperFunction.from_polynomial(coeff, bundle)
+        for _ in range(rng.randint(0, min(degree, len(labels)) if labels else 0)):
+            piece = piece * SuperFunction.generator(rng.choice(labels), bundle)
+        total = total + piece
+    return total
 
 
-def verify_morphism(morph, source, target):
-    """Both formulations: the anchor and bracket conditions (geometric),
-    then equivariance (algebraic)."""
-    return MorphismReport(
-        check_anchor_condition(morph, source, target),
-        check_bracket_conditions(morph, source, target),
-        check_equivariance(morph, source, target),
+def _multiplicativity(phi, rng):
+    """phi(ab) = phi(a) phi(b) on four random pairs of target functions."""
+    for _ in range(4):
+        a = _random_superfunction(rng, phi.target_bundle)
+        b = _random_superfunction(rng, phi.target_bundle)
+        if phi.apply(a * b) != phi.apply(a) * phi.apply(b):
+            return Outcome(False, {"a": str(a), "b": str(b)})
+    return Outcome(True)
+
+
+def verify_morphism(morph, source, target, t_max=None, seed=0):
+    """Both formulations as the conjunction (outcome.all_of) of timed rows:
+    the anchor condition and one bracket row per arity 1..t_max (default
+    n+1) are geometric, equivariance is algebraic, and "formulations agree"
+    passes when the verdicts coincide, as the correspondence theorem
+    demands; an incomplete geometric pass agrees with either.  A last row
+    spot-checks multiplicativity on random functions drawn from seed."""
+    anchor = timed(check_anchor_condition, morph, source, target)
+    brackets = check_bracket_conditions(morph, source, target, t_max=t_max)
+    phi = build_phi(morph)
+    equivariance = timed(check_equivariance, phi, source, target)
+    geometric = anchor.ok and brackets.ok
+    algebraic = equivariance.ok
+    agree = Outcome(geometric == algebraic or (geometric and not brackets.complete),
+                    {"geometric": geometric, "algebraic": algebraic})
+    spot = timed(_multiplicativity, phi, random.Random(seed))
+    path = bracket_path(morph)
+    return all_of(
+        [("anchor condition", anchor)]
+        + [("bracket condition, arity %d (%s path)" % (t, path), row) for t, row in brackets.detail]
+        + [("differential equivariance", equivariance), ("formulations agree", agree),
+           ("random multiplicativity spot check", spot)]
     )
 
 

@@ -20,6 +20,10 @@ lives in signs.evaluation_sign.
 
 from __future__ import annotations
 
+import itertools
+import math
+from fractions import Fraction
+
 from .polyring import Polynomial
 from .graded import Section, normalize_tuple
 from .outcome import Outcome
@@ -532,12 +536,14 @@ def evaluate_element(element, sections):
 
 
 def _diagonal(bundle, key):
-    """evaluate_element of the monomial on its own frames: a nonzero
-    rational, of magnitude above 1 where an even frame repeats."""
-    one = Polynomial.constant(1, bundle.base_coordinates)
-    frames = [bundle.frame_section(lab) for lab in key]
-    mono = SuperFunction._trusted(bundle, {key: one})
-    return evaluate_element(mono, frames).constant_value()
+    """evaluate_element of the normal-order monomial key on its own frames,
+    in closed form: (-1)^(sum over m < j of a_m a_j) times k! for each label
+    repeated k times (only even frames repeat in a normal-order key)."""
+    mags = [bundle.magnitude(lab) for lab in key]
+    value = Fraction(sign_pow(sum(a * b for a, b in itertools.combinations(mags, 2))))
+    for lab in set(key):
+        value *= math.factorial(key.count(lab))
+    return value
 
 
 def element_from_values(bundle, values):

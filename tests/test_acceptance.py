@@ -253,7 +253,7 @@ def test_criterion_08_morphism_theorem():
             m, src, tgt, expected = entry
             rep = verify_morphism(m, src, tgt)
             ok = ok and rep.ok == expected
-            ok = ok and rep.agrees
+            ok = ok and dict(rep.detail)["formulations agree"].ok
     assert sw.elapsed < 60
     _line(8, "geometric and differential morphism conditions coincide",
           ok, sw.elapsed)

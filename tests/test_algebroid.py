@@ -9,6 +9,7 @@ from nqforge.linfty import apply_anchor
 from nqforge.algebroid import (
     LieNAlgebroid,
     ce_differential,
+    check_identities,
     consequence_checks,
     de_rham_compare,
     extract_algebroid,
@@ -17,6 +18,7 @@ from nqforge.algebroid import (
     verify_algebroid,
 )
 from nqforge import fixtures
+from nqforge.cli import _status
 
 
 # ----- the differential itself, frozen on two small fixtures -----
@@ -92,24 +94,40 @@ def test_verify_algebroid_passes_fixtures_with_agreement():
     for name, algd in fixtures.all_structures().items():
         rep = verify_algebroid(algd)
         assert rep.ok, name
-        assert rep.agrees, name
-        assert rep.square.ok and rep.identities.ok and rep.linearity.ok
+        assert [o.ok for _, o in rep.detail] == [True] * 4, name
 
 
 def test_verify_algebroid_fails_perturbed_with_agreement():
     for name, algd in fixtures.perturbed_structures().items():
         rep = verify_algebroid(algd)
         assert not rep.ok, name
-        assert rep.agrees, name
+        assert dict(rep.detail)["routes agree"].ok, name
 
 
 def test_verify_algebroid_r_max_truncates():
     algd = fixtures.jacobiator_point_perturbed()
     # the defect needs the arity-3 identity; stopping at arity 2 hides it
     # from the identity sweep but never from the squared field
-    rep = verify_algebroid(algd, r_max=2)
-    assert not rep.square.ok
-    assert rep.identities.ok
+    rows = dict(verify_algebroid(algd, r_max=2).detail)
+    assert not rows["differential squares to zero"].ok
+    assert rows["frame identities with anchor corrections"].ok
+
+
+def test_routes_stopped_below_n_plus_2_are_incomplete():
+    anti = to_antialgebroid(fixtures.action_line())
+    # the identity sweep passes at arity 1, so check_identities returns the
+    # anchor-compatibility outcome, which carries the sweep's completeness
+    for route in (check_identities, residual_linearity):
+        truncated = route(anti, r_max=1)
+        assert truncated.ok and not truncated.complete, route.__name__
+        assert route(anti).complete, route.__name__
+
+
+def test_every_check_row_is_timed():
+    for algd in (fixtures.action_line(), fixtures.two_term_perturbed()):
+        rows = verify_algebroid(algd).detail + consequence_checks(algd).detail
+        for name, outcome in rows:
+            assert (outcome.seconds > 0) == (name != "routes agree"), name
 
 
 def test_truncated_routes_are_left_out_of_agreement():
@@ -117,7 +135,8 @@ def test_truncated_routes_are_left_out_of_agreement():
         fixtures.perturbed_structures().items()
     )
     for name, algd in structures:
-        assert verify_algebroid(algd, r_max=1).agrees, name
+        rows = dict(verify_algebroid(algd, r_max=1).detail)
+        assert rows["routes agree"].ok, name
 
 
 def test_consequence_rows_pass_on_fixtures():
@@ -151,7 +170,11 @@ def test_residual_linearity_vacuous_over_point():
     for name in ["jacobiator_point", "module_point"]:
         anti = to_antialgebroid(fixtures.all_structures()[name])
         out = residual_linearity(anti)
-        assert out.ok, name
+        assert out.ok and out.vacuous, name
+        # nothing was left unchecked, so a truncated sweep still passes
+        truncated = residual_linearity(anti, r_max=1)
+        assert truncated.vacuous and not truncated.complete, name
+        assert _status(truncated) == "pass", name
 
 
 # ----- the arity-two part of the applied field is a Cartan expansion -----

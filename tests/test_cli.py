@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from nqforge.cli import main
 
 FIXDIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -206,6 +208,37 @@ def test_check_morphism_max_arity_truncates_rows(capsys):
     doc = json.loads(out)
     arity_rows = [r for r in doc["checks"] if r["name"].startswith("bracket condition")]
     assert len(arity_rows) == 1
+
+
+def test_json_rows_report_their_own_time(capsys):
+    code, out, err = run(capsys, ["verify", fx("two_term.json"), "--json"])
+    rows = {r["name"]: r["seconds"] for r in json.loads(out)["checks"]}
+    assert rows["derived-brackets-match"] > 0
+    code, out, err = run(
+        capsys, ["check-morphism", fx("morphism_point_two_term.json"), "--json"]
+    )
+    doc = json.loads(out)
+    arity_rows = [r for r in doc["checks"] if r["name"].startswith("bracket condition")]
+    assert arity_rows and all(r["seconds"] > 0 for r in arity_rows)
+
+
+def test_max_arity_below_one_is_a_usage_error(capsys):
+    for argv in (
+        ["check-morphism", fx("morphism_point_two_term_doubled.json"), "--max-arity", "0"],
+        ["verify", fx("action_line.json"), "--max-arity", "-3"],
+        ["verify", fx("action_line.json"), "--max-arity", "two"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "K >= 1" in capsys.readouterr().err
+
+
+def test_seed_belongs_to_check_morphism_only(capsys):
+    for command in ("verify", "to-q", "from-q", "roundtrip"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, fx("action_line.json"), "--seed", "1"])
+        assert exc.value.code == 2, command
 
 
 def test_check_morphism_seed_changes_nothing_semantic(capsys):

@@ -47,7 +47,7 @@ def test_fixture_verdicts_and_formulation_agreement():
         m, src, tgt, expected = entry
         rep = verify_morphism(m, src, tgt)
         assert rep.ok == expected, (name, repr(rep))
-        assert rep.agrees, name
+        assert dict(rep.detail)["formulations agree"].ok, name
 
 
 def test_both_condition_paths_give_identical_rows():
@@ -84,6 +84,20 @@ def test_bracket_witness_is_the_first_failing_arity():
     assert not rep.ok and rep.witness == 2
 
 
+def test_bracket_rows_below_n_plus_1_are_incomplete():
+    m, src, tgt, _ = fixtures.point_two_term()
+    rows = check_bracket_conditions(m, src, tgt, t_max=1).detail
+    assert rows and all(o.ok and not o.complete for _, o in rows)
+    rows = check_bracket_conditions(m, src, tgt).detail
+    assert all(o.complete for _, o in rows)
+
+
+def test_every_morphism_row_is_timed():
+    for name, (m, src, tgt, _) in fixtures.all_morphisms().items():
+        for row, outcome in verify_morphism(m, src, tgt).detail:
+            assert (outcome.seconds > 0) == (row != "formulations agree"), (name, row)
+
+
 def test_cancelling_component_needs_weight_one():
     m, src, tgt, _ = fixtures.point_two_term(weight=1)
     assert verify_morphism(m, src, tgt).ok
@@ -95,7 +109,7 @@ def test_spectator_component_passes_at_any_weight():
     for weight in [1, 4, -2]:
         m, src, tgt, _ = fixtures.point_module_spectator(weight=weight)
         rep = verify_morphism(m, src, tgt)
-        assert rep.ok and rep.agrees, weight
+        assert rep.ok and dict(rep.detail)["formulations agree"].ok, weight
 
 
 def test_roundtrip_through_the_algebra_morphism():

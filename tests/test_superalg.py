@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nqforge.polyring import Polynomial
-from nqforge.graded import GradedBundle
+from nqforge.graded import GradedBundle, canonical_tuples, normalize_tuple
 from nqforge.superalg import (
+    _diagonal,
     Derivation,
     SuperFunction,
     check_homological,
@@ -92,6 +93,24 @@ def test_element_from_values_inverts_evaluation():
     assert evaluate_element(
         elem, [B.frame_section("v"), B.frame_section("v")]
     ).is_zero()
+
+
+def test_closed_form_diagonal_matches_evaluation():
+    # every normal-order key of arity 0..5 over magnitudes 1..4, odd and
+    # even frames alike, paired with its own frames by interior products
+    bundle = GradedBundle(("x",), {1: ["a", "b"], 2: ["c", "d"], 3: ["e"], 4: ["f"]})
+    one = Polynomial.constant(1, bundle.base_coordinates)
+    keys = [
+        key
+        for r in range(6)
+        for key in canonical_tuples(bundle.labels(), r)
+        if normalize_tuple(key, bundle)[1] != 0
+    ]
+    assert len(keys) == 231
+    for key in keys:
+        frames = [bundle.frame_section(lab) for lab in key]
+        want = evaluate_element(SuperFunction(bundle, {key: one}), frames)
+        assert _diagonal(bundle, key) == want.constant_value(), key
 
 
 @given(st.integers(min_value=-4, max_value=4), st.integers(min_value=-4, max_value=4))
