@@ -345,7 +345,7 @@ def bracket_path(morph):
 
 def check_bracket_conditions(morph, source, target, path="auto", t_max=None):
     """Sweep the bracket compatibility condition over all frame tuples of
-    arity 1..n+1 (or 1..t_max when given).
+    arity 1..n+1 (or 1..t_max, t_max >= 1).
 
     path "auto" picks the simplified base-preserving form when the base map
     is the identity and the general different-base form otherwise (see
@@ -367,6 +367,8 @@ def check_bracket_conditions(morph, source, target, path="auto", t_max=None):
     labels = morph.source_bundle.labels()
     if t_max is None:
         t_max = morph.n + 1
+    elif t_max < 1:
+        raise ValueError("t_max must be at least 1, got %r" % (t_max,))
     complete = t_max >= morph.n + 1
 
     def row(t):

@@ -90,6 +90,9 @@ def test_bracket_rows_below_n_plus_1_are_incomplete():
     assert rows and all(o.ok and not o.complete for _, o in rows)
     rows = check_bracket_conditions(m, src, tgt).detail
     assert all(o.complete for _, o in rows)
+    # no rows at all would read as a complete sweep
+    with pytest.raises(ValueError):
+        verify_morphism(m, src, tgt, t_max=0)
 
 
 def test_every_morphism_row_is_timed():
