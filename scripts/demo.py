@@ -5,6 +5,7 @@ Run from the repository root:
     python3 scripts/demo.py
 """
 
+import json
 import os
 import sys
 
@@ -20,7 +21,7 @@ from nqforge.algebroid import (
     verify_algebroid,
 )
 from nqforge.derived import DerivedSetup
-from nqforge.io import structure_to_dict, save
+from nqforge.io import structure_to_dict
 from nqforge.morphism import verify_morphism
 
 
@@ -73,11 +74,8 @@ def main():
         print("  %-26s ok=%-5s expected=%-5s formulations agree=%s"
               % (name, mrep.ok, expected, agree.ok))
 
-    out = os.path.join(os.path.dirname(__file__), "..", "fixtures",
-                       "action_line.json")
-    save(out, structure_to_dict(algd, q=q))
-    print()
-    print("rewrote", os.path.relpath(out))
+    banner("the structure file nqforge reads (see fixtures/action_line.json)")
+    print(json.dumps(structure_to_dict(algd, q=q), indent=2))
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ antisymmetric brackets of degree 2-i on the shifted bundle (degrees
 0..-(n-1)).  Both store structure functions in the sparse table format of
 graded.py (validate_table checks it, table_value looks entries up),
 evaluate on arbitrary sections by multilinear expansion, and verify their
-homotopy Jacobi identities on frame tuples.  Both identities are the same
+homotopy Jacobi identities on the frame tuples where a residual term can be
+nonzero, read off the tables (_candidates).  Both identities are the same
 sum over shuffles of nested brackets, computed by one loop
 (homotopy_residual_on_sections); only the per-term sign differs, and each
 structure class supplies its own (_identity_sign).
@@ -210,30 +211,80 @@ def homotopy_residual_antisymmetric(struct, labels, anchor=None):
     return homotopy_residual_on_sections(struct, labels, frames, anchor)
 
 
+def _candidates(struct, anchor, r_max):
+    """The frame tuples of arity 1..r_max at which the homotopy residual of
+    struct can be nonzero, in the order the full sweep visits them.
+
+    Frames have constant coefficients, so the inner bracket l_i(K) of a
+    residual term at a sub-multiset K is the table entry at K; its anchor
+    correction differentiates a constant and vanishes.  The outer bracket
+    l_j(inner, rest) can then be nonzero in two ways only:
+
+    * bracket rule: K is a key and (L,) + rest is a key for some target L
+      of K, so every entry (K, L) paired with every key M containing L
+      gives the tuple K + (M - {L});
+    * anchor rule: j = 2, rest = (Y,) with Y anchored, and K's entry has a
+      non-constant coefficient for rho(Y) to differentiate, giving K + (Y,).
+
+    Every tuple outside this set has residual exactly zero.  anchor=None
+    means no anchor.  Tuples are canonical multisets, sorted by arity and
+    then lexicographically in bundle label order, which is the order of
+    canonical_tuples arity by arity.
+    """
+    index = struct.bundle.label_index
+    entries = [
+        entry for table in struct.tables.values() for entry in table.items()
+    ]
+    # rests[L]: M - {L} for every key M containing L
+    rests = {}
+    for key, _ in entries:
+        for pos, lab in enumerate(key):
+            if pos == 0 or key[pos - 1] != lab:
+                rests.setdefault(lab, []).append(key[:pos] + key[pos + 1 :])
+    anchored = [(lab,) for lab, row in (anchor or {}).items() if row]
+    found = set()
+    for key, targets in entries:
+        tails = [rest for lab in targets for rest in rests.get(lab, ())]
+        if any(not poly.is_constant() for poly in targets.values()):
+            tails += anchored
+        for rest in tails:
+            if len(key) + len(rest) <= r_max:
+                found.add(tuple(sorted(key + rest, key=index.__getitem__)))
+    return sorted(
+        found, key=lambda tup: (len(tup), [index[lab] for lab in tup])
+    )
+
+
 def _sweep(struct, residual_fn, r_max, anchor):
-    """Residuals on all frame multisets of arity 1..r_max (default n+2); a
-    pass is complete when the sweep reached arity n+2, the arity the
-    correspondence theorem needs."""
-    labels = struct.bundle.labels()
+    """Check the homotopy identities of struct at arities 1..r_max (default
+    n+2); a pass is complete when the sweep reached arity n+2, the arity
+    the correspondence theorem needs.
+
+    The residual runs on the candidates of _candidates only: at every other
+    frame multiset each of its terms is zero, so the residual is.  The
+    candidates come in the order of a sweep over all canonical tuples, and
+    the tuples between two candidates all pass, so the first failing
+    candidate is that sweep's first failing tuple, with the same witness
+    and residual.
+    """
     if r_max is None:
         r_max = struct.bundle.n + 2
-    for t in range(1, r_max + 1):
-        for key in canonical_tuples(labels, t):
-            res = residual_fn(struct, key, anchor)
-            if not res.is_zero():
-                return Outcome(False, witness=(t, key), detail=res)
+    for key in _candidates(struct, anchor, r_max):
+        res = residual_fn(struct, key, anchor)
+        if not res.is_zero():
+            return Outcome(False, witness=(len(key), key), detail=res)
     return Outcome(True, complete=r_max >= struct.bundle.n + 2)
 
 
 def verify_antialgebra(struct, r_max=None, anchor=None):
-    """Check the symmetric homotopy identities on all frame multisets of
-    arity 1..r_max (default n+2)."""
+    """Check the symmetric homotopy identities at arities 1..r_max (default
+    n+2), on the frame tuples where a residual can be nonzero."""
     return _sweep(struct, homotopy_residual_symmetric, r_max, anchor)
 
 
 def verify_algebra(struct, r_max=None, anchor=None):
-    """Check the antisymmetric homotopy identities on all frame multisets
-    of arity 1..r_max (default n+2)."""
+    """Check the antisymmetric homotopy identities at arities 1..r_max
+    (default n+2), on the frame tuples where a residual can be nonzero."""
     return _sweep(struct, homotopy_residual_antisymmetric, r_max, anchor)
 
 

@@ -1,20 +1,32 @@
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nqforge import linfty
 from nqforge.polyring import Polynomial
-from nqforge.graded import GradedBundle
+from nqforge.graded import GradedBundle, canonical_tuples, normalize_tuple
 from nqforge.linfty import (
     AlgebraStructure,
     AntialgebraStructure,
+    _candidates,
     apply_anchor,
     homotopy_residual_antisymmetric,
     homotopy_residual_symmetric,
+    transfer_to_algebra,
     transfer_to_antialgebra,
     verify_algebra,
     verify_antialgebra,
 )
-from nqforge.algebroid import to_algebroid, to_antialgebroid
+from nqforge.algebroid import _as_antialgebroid, to_algebroid, to_antialgebroid
 from nqforge import fixtures
+from nqforge.outcome import Outcome
 from nqforge.signs import bracket_transfer_sign
+
+# the structure fixtures, their perturbed twins, and small members of each
+# benchmark family with theirs (the conjugation family's structures are
+# inn(gl(m)) itself)
+from test_residual_loop import STRUCTURES
 
 
 def test_apply_anchor_is_a_derivation():
@@ -169,3 +181,145 @@ def test_antisymmetric_residual_flags_bad_jacobi():
         algd.brackets, ("e1", "e2", "d"), algd.anchor
     )
     assert not bad.is_zero()
+
+
+# ----- the pruned identity sweep against the full sweep -----
+
+
+def _full_sweep(struct, residual_fn, r_max, anchor):
+    """The sweep over every canonical frame tuple of arity 1..r_max, the
+    oracle for the candidate sweep of linfty._sweep."""
+    labels = struct.bundle.labels()
+    for t in range(1, r_max + 1):
+        for key in canonical_tuples(labels, t):
+            res = residual_fn(struct, key, anchor)
+            if not res.is_zero():
+                return Outcome(False, witness=(t, key), detail=res)
+    return Outcome(True, complete=r_max >= struct.bundle.n + 2)
+
+
+def _outcome(o):
+    return (o.ok, o.witness, repr(o.detail), o.complete)
+
+
+def _assert_sweeps_match_oracle(anti, anchor):
+    """Both symmetries (the antisymmetric one on the transfer), at every
+    r_max in 1..n+2 and at the default."""
+    alg = transfer_to_algebra(anti)
+    top = anti.bundle.n + 2
+    for r_max in list(range(1, top + 1)) + [None]:
+        r = top if r_max is None else r_max
+        got = verify_antialgebra(anti, r_max=r_max, anchor=anchor)
+        want = _full_sweep(anti, homotopy_residual_symmetric, r, anchor)
+        assert _outcome(got) == _outcome(want), ("symmetric", r_max)
+        got = verify_algebra(alg, r_max=r_max, anchor=anchor)
+        want = _full_sweep(alg, homotopy_residual_antisymmetric, r, anchor)
+        assert _outcome(got) == _outcome(want), ("antisymmetric", r_max)
+
+
+def _polynomials(coords):
+    """Small integer polynomials of degree at most 2 in coords."""
+    exponents = [
+        exps
+        for exps in itertools.product(range(3), repeat=len(coords))
+        if sum(exps) <= 2
+    ]
+    return st.dictionaries(
+        st.sampled_from(exponents),
+        st.integers(min_value=-2, max_value=2),
+        min_size=1,
+        max_size=3,
+    ).map(lambda terms: Polynomial(coords, terms))
+
+
+@st.composite
+def _sparse_brackets(draw):
+    """A random symmetric bracket family with n = 1 or 2 over R^0..R^2, its
+    tables sparse and its arities up to n+1, and a random anchor on some
+    magnitude-1 frames.  Most draws fail the identities."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    coords = ("x", "y")[: draw(st.integers(min_value=0, max_value=2))]
+    sizes = [draw(st.integers(min_value=2, max_value=3))]
+    if n == 2:
+        sizes.append(draw(st.integers(min_value=1, max_value=2)))
+    frames = {
+        a: ["f%d%d" % (a, k) for k in range(size)]
+        for a, size in enumerate(sizes, start=1)
+    }
+    bundle = GradedBundle(coords, frames, side="E")
+    polys = _polynomials(coords)
+    tables = {}
+    for r in range(1, n + 2):
+        for key in canonical_tuples(bundle.labels(), r):
+            mag = sum(bundle.magnitude(lab) for lab in key) - 1
+            targets = frames.get(mag)
+            if not targets or normalize_tuple(key, bundle)[1] == 0:
+                continue
+            if not draw(st.booleans()):
+                continue
+            chosen = draw(st.lists(st.sampled_from(targets), min_size=1,
+                                   max_size=2, unique=True))
+            tables.setdefault(r, {})[key] = {
+                lab: draw(polys) for lab in chosen
+            }
+    anchor = {}
+    if coords:
+        for lab in frames[1]:
+            if draw(st.booleans()):
+                anchor[lab] = draw(st.dictionaries(
+                    st.sampled_from(coords), polys, min_size=1
+                ))
+    return AntialgebraStructure(bundle, tables), anchor
+
+
+@given(_sparse_brackets())
+@settings(max_examples=100, deadline=None)
+def test_candidate_sweep_matches_the_full_sweep_on_random_tables(draw):
+    anti, anchor = draw
+    _assert_sweeps_match_oracle(anti, anchor)
+
+
+@pytest.mark.parametrize(
+    "struct", [s for _, s in STRUCTURES], ids=[n for n, _ in STRUCTURES]
+)
+def test_candidate_sweep_matches_the_full_sweep_on_inputs(struct):
+    anti = _as_antialgebroid(struct)
+    _assert_sweeps_match_oracle(anti.brackets, anti.anchor)
+
+
+def test_anchor_rule_catches_a_failure_the_bracket_rule_misses():
+    # over R^1, frames a, b, c of degree -1, l2(b, c) = x a - b and
+    # rho(a) = (x + 2) d/dx: rho(a) differentiates the x of l2(b, c) at
+    # (a, b, c), where no composite of two table entries lives
+    coords = ("x",)
+    x = Polynomial.variable("x", coords)
+    one = Polynomial.constant(1, coords)
+    bundle = GradedBundle(coords, {1: ["a", "b", "c"]}, side="E")
+    anti = AntialgebraStructure(bundle, {2: {("b", "c"): {"a": x, "b": -one}}})
+    anchor = {"a": {"x": x + one + one}}
+    want = _full_sweep(anti, homotopy_residual_symmetric, 3, anchor)
+    assert want.witness == (3, ("a", "b", "c"))
+    got = verify_antialgebra(anti, anchor=anchor)
+    assert _outcome(got) == _outcome(want)
+    assert ("a", "b", "c") in _candidates(anti, anchor, 3)
+    assert ("a", "b", "c") not in _candidates(anti, {}, 3)
+    # the bracket rule's candidates alone would pass
+    for key in _candidates(anti, {}, 3):
+        assert homotopy_residual_symmetric(anti, key, anchor).is_zero(), key
+
+
+def test_sweep_runs_the_residual_on_candidates_only(monkeypatch):
+    anti = _as_antialgebroid(dict(STRUCTURES)["inn_gl2"])
+    labels = anti.bundle.labels()
+    tuples = sum(len(canonical_tuples(labels, t)) for t in range(1, 5))
+    assert tuples == 494
+    calls = []
+
+    def counting(struct, labels, anchor=None):
+        calls.append(labels)
+        return homotopy_residual_symmetric(struct, labels, anchor)
+
+    monkeypatch.setattr(linfty, "homotopy_residual_symmetric", counting)
+    out = verify_antialgebra(anti.brackets, anchor=anti.anchor)
+    assert out.ok and out.complete
+    assert 0 < len(calls) < tuples / 5
