@@ -63,7 +63,7 @@ def main():
     show(consequence_checks(algd).detail)
 
     banner("differential-forms comparison")
-    dr = de_rham_compare(algd, max_form_degree=2)
+    dr = de_rham_compare(algd)
     print("routes agree exactly:", dr.ok, "| relation to textbook:", dr.detail)
 
     banner("a morphism and a broken one")

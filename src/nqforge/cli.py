@@ -8,9 +8,9 @@ Subcommands:
     nqforge roundtrip FILE        both directions compose to the identity
     nqforge check-morphism FILE   geometric and algebraic morphism conditions
 
-Every subcommand accepts --json for machine-readable output and --max-arity
-K (K >= 1) to cap the swept arities; check-morphism also takes --seed for
-its random spot check.  verify and check-morphism render the library's rows.
+Every subcommand accepts --json for machine-readable output.  verify and
+check-morphism also take --max-arity K (K >= 1) to cap the swept arities,
+and render the library's rows.
 A sweep that passes but stops below the arity its theorem needs (n+2 for the
 identity and linearity routes, n+1 for the bracket conditions) has status
 "incomplete", and the agreement rows leave it out.  Exit status: 0 when no
@@ -272,7 +272,7 @@ def _q_match(declared, regenerated):
 
 def cmd_check_morphism(args):
     morph, source, target = structio.load_morphism(args.file)
-    rows = verify_morphism(morph, source, target, args.max_arity, args.seed).detail
+    rows = verify_morphism(morph, source, target, args.max_arity).detail
     return _finish(args, Report("check-morphism", args.file, rows))
 
 
@@ -306,20 +306,13 @@ def build_parser():
         p.add_argument(
             "--json", action="store_true", help="machine-readable report"
         )
-        p.add_argument(
-            "--max-arity",
-            type=_max_arity,
-            default=None,
-            metavar="K",
-            help="cap the arities swept by the checks (K >= 1)",
-        )
-        if name == "check-morphism":
+        if name in ("verify", "check-morphism"):
             p.add_argument(
-                "--seed",
-                type=int,
-                default=0,
-                metavar="N",
-                help="seed for the randomized spot check",
+                "--max-arity",
+                type=_max_arity,
+                default=None,
+                metavar="K",
+                help="cap the arities swept by the checks (K >= 1)",
             )
         p.set_defaults(func=fn)
     return parser

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from nqforge.polyring import Polynomial
 from nqforge.graded import GradedBundle
-from nqforge.superalg import SuperFunction, evaluate_element
+from nqforge.superalg import Derivation, SuperFunction, evaluate_element
 from nqforge.linfty import apply_anchor
 from nqforge.algebroid import (
     LieNAlgebroid,
@@ -223,7 +224,66 @@ def test_de_rham_routes_agree_exactly():
              for name in ["tangent_plane", "action_line"]}
     cases["tangent_r3_reversed_frames"] = _tangent_r3_reversed_frames()
     for name, algd in cases.items():
-        rep = de_rham_compare(algd, max_form_degree=2)
+        rep = de_rham_compare(algd)
         assert rep.ok, (name, rep.witness)
         assert rep.detail == "opposite", name
         assert rep.witness is None
+
+
+def _random_line_bundle_algebroid(rng):
+    """A random n = 1 structure over the line or the plane, valid or not:
+    random binary brackets and anchors with small integer polynomial
+    entries, the first frame always anchored, so some value is nonzero."""
+    coords = rng.choice([("x",), ("x", "y")])
+    labels = ["a", "b", "c"][: rng.randint(1, 3)]
+    bundle = GradedBundle(coords, {1: labels}, side="sE")
+
+    def poly():
+        out = Polynomial.constant(rng.randint(-2, 2), coords)
+        for c in coords:
+            out = out + Polynomial.variable(c, coords) * rng.randint(-2, 2)
+        return out
+
+    table = {}
+    for pair in itertools.combinations(labels, 2):
+        targets = {lab: poly() for lab in labels if rng.random() < 0.6}
+        targets = {lab: p for lab, p in targets.items() if not p.is_zero()}
+        if targets:
+            table[pair] = targets
+    anchor = {lab: {c: poly() for c in coords} for lab in labels}
+    anchor["a"]["x"] = Polynomial.variable("x", coords) + Polynomial.constant(1, coords)
+    anchor = {lab: {c: p for c, p in row.items() if not p.is_zero()}
+              for lab, row in anchor.items()}
+    return LieNAlgebroid(bundle, {2: table} if table else {}, anchor)
+
+
+def test_de_rham_routes_agree_on_random_structures():
+    # the transported differential is the formula for any brackets and
+    # anchor, whether or not they satisfy the algebroid identities
+    rng = random.Random(5)
+    for trial in range(30):
+        algd = _random_line_bundle_algebroid(rng)
+        rep = de_rham_compare(algd)
+        assert rep.ok, (trial, rep.witness)
+        assert rep.detail == "opposite", trial
+
+
+def test_de_rham_compare_catches_a_wrong_differential(monkeypatch):
+    # negating Q on the base coordinates breaks the transported route on
+    # functions: the first failing tuple is a single frame at form degree 0
+    import nqforge.algebroid as algebroid
+
+    honest = algebroid.ce_differential
+
+    def wrong(struct):
+        q = honest(struct)
+        coords = set(q.bundle.base_coordinates)
+        return Derivation(q.bundle, {name: -img if name in coords else img
+                                     for name, img in q.images.items()})
+
+    monkeypatch.setattr(algebroid, "ce_differential", wrong)
+    rep = de_rham_compare(fixtures.action_line())
+    assert not rep.ok
+    # the form x on (e1,): the formula gives -1 (minus the textbook
+    # rho(e1) x = 1), the transported route now reads 1
+    assert rep.witness == ("transport-vs-formula", 0, ("e1",), "1", "-1")

@@ -50,32 +50,43 @@ def test_fixture_verdicts_and_formulation_agreement():
         assert dict(rep.detail)["formulations agree"].ok, name
 
 
+def _defect_sweep(defect_fn, morph, source, target):
+    """{key: defect} of one bracket-condition shape on every frame tuple
+    that check_bracket_conditions sweeps, arity 1..n+1."""
+    src = _as_antialgebroid(source)
+    tgt = _as_antialgebroid(target)
+    bundle = morph.source_bundle
+    out = {}
+    for t in range(1, morph.n + 2):
+        for key in canonical_tuples(bundle.labels(), t):
+            if normalize_tuple(key, bundle, True)[1] != 0:
+                out[key] = defect_fn(morph, src, tgt, key)
+    return out
+
+
 def test_both_condition_paths_give_identical_rows():
-    # fixtures where the simplified route applies: identity or point base
-    names = [
-        "identity_tangent_plane",
-        "identity_action_line",
-        "doubled_action_line",
-        "rescale_two_term",
-        "point_module_spectator",
-        "point_two_term",
-        "point_uncancelled",
-    ]
-    for name in names:
-        m, src, tgt, _ = fixtures.all_morphisms()[name]
-        rows = []
-        for path in ["simplified", "general"]:
-            rep = check_bracket_conditions(m, src, tgt, path=path)
-            rows.append(tuple(o.ok for _, o in rep.detail))
-        assert rows[0] == rows[1], (name, rows)
+    # every base-preserving case (identity or point base), where the
+    # simplified shape applies: the two shapes agree tuple by tuple
+    cases = {name: entry[:3] for name, entry in fixtures.all_morphisms().items()}
+    cases.update(_inn_conjugation_twins())
+    swept = 0
+    for name, (m, src, tgt) in cases.items():
+        if not m.is_base_preserving():
+            continue
+        general = _defect_sweep(_general_defect, m, src, tgt)
+        simplified = _defect_sweep(_simplified_defect, m, src, tgt)
+        assert general == simplified, name
+        swept += len(general)
+    assert swept == 315, swept
 
 
 def test_uncancelled_component_fails_exactly_at_arity_two():
     m, src, tgt, _ = fixtures.point_uncancelled()
-    for path in ["simplified", "general"]:
-        rep = check_bracket_conditions(m, src, tgt, path=path)
-        got = {t: o.ok for t, o in rep.detail}
-        assert got == {1: True, 2: False, 3: True}, (path, rep.detail)
+    for defect_fn in [_simplified_defect, _general_defect]:
+        got = {}
+        for key, defect in _defect_sweep(defect_fn, m, src, tgt).items():
+            got[len(key)] = got.get(len(key), True) and not defect
+        assert got == {1: True, 2: False, 3: True}, (defect_fn.__name__, got)
 
 
 def test_bracket_witness_is_the_first_failing_arity():
@@ -127,8 +138,8 @@ def test_over_point_reduction_matches_bracket_rows():
     for name in ["point_module_spectator", "point_two_term", "point_uncancelled"]:
         m, src, tgt, _ = fixtures.all_morphisms()[name]
         red = check_over_point_reduction(m, src, tgt)
-        rows = check_bracket_conditions(m, src, tgt, path="general")
-        assert red.ok == rows.ok, name
+        general = _defect_sweep(_general_defect, m, src, tgt)
+        assert red.ok == (not any(general.values())), name
 
 
 def test_anchor_condition_isolates_the_dropped_term():
@@ -152,6 +163,24 @@ def test_pullback_of_a_scaled_dual_generator_frozen():
     assert phi.apply(arg) == want
 
 
+def _random_superfunction(rng, bundle):
+    """Sum of three terms: a random polynomial coefficient times up to two
+    random generators."""
+    total = SuperFunction.zero(bundle)
+    labels = bundle.labels()
+    coords = bundle.base_coordinates
+    for _ in range(3):
+        coeff = Polynomial.constant(rng.randint(-3, 3), coords)
+        for c in coords:
+            if rng.random() < 0.5:
+                coeff = coeff * Polynomial.variable(c, coords)
+        piece = SuperFunction.from_polynomial(coeff, bundle)
+        for _ in range(rng.randint(0, min(2, len(labels)))):
+            piece = piece * SuperFunction.generator(rng.choice(labels), bundle)
+        total = total + piece
+    return total
+
+
 def test_algebra_morphism_is_multiplicative():
     m, src, tgt, _ = fixtures.plane_to_line()
     phi = build_phi(m)
@@ -161,6 +190,18 @@ def test_algebra_morphism_is_multiplicative():
     b = SuperFunction.generator("e2", B) * (x + Polynomial.constant(2, ("x",)))
     assert phi.apply(a * b) == phi.apply(a) * phi.apply(b)
     assert phi.apply(a + b) == phi.apply(a) + phi.apply(b)
+
+    # seeded random pairs on every morphism fixture and both inn(gl(2))
+    # conjugations, the perturbed one included
+    cases = {name: entry[0] for name, entry in fixtures.all_morphisms().items()}
+    cases.update({name: entry[0] for name, entry in _inn_conjugation_twins().items()})
+    rng = random.Random(3)
+    for name, morph in cases.items():
+        phi = build_phi(morph)
+        for _ in range(20):
+            a = _random_superfunction(rng, phi.target_bundle)
+            b = _random_superfunction(rng, phi.target_bundle)
+            assert phi.apply(a * b) == phi.apply(a) * phi.apply(b), (name, str(a), str(b))
 
 
 def test_component_word_length_tracks_the_filtration():
@@ -279,9 +320,9 @@ def test_transport_sign_minus_one_on_a_live_depth_four_component():
             2: {("c", "c"): {"F": one(k)}},
         }
         mor = MorphismData(src_b, tgt_b, BaseMap((), (), {}), comps)
-        rows = check_bracket_conditions(mor, src, tgt, path="general")
+        general = _defect_sweep(_general_defect, mor, src, tgt)
         red = check_over_point_reduction(mor, src, tgt)
-        assert red.ok == rows.ok, (k, red.witness, rows.detail)
+        assert red.ok == (not any(general.values())), (k, red.witness, general)
         verdicts[k] = red.ok
     assert verdicts == {1: True, -1: False, 2: False}
 
