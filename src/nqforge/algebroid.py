@@ -495,17 +495,10 @@ def de_rham_compare(algd):
             {(): Polynomial.variable(c, coords)} for c in coords
         ] + [{(): Polynomial.constant(3, coords)}]:
             # route one: transport through the suspension dictionary
-            values = {}
-            for t, val in form.items():
-                if s == 0:
-                    continue
-                values[t] = val * suspension_power_sign(s)
-            if s == 0:
-                element = SuperFunction.from_polynomial(
-                    form[()], bundle
-                )
-            else:
-                element = element_from_values(bundle, values)
+            values = {
+                t: val * suspension_power_sign(s) for t, val in form.items()
+            }
+            element = element_from_values(bundle, values)
             image = q.apply(element).homological_part(s + 1)
             route_one = {}
             for t in _form_tuples(labels, s + 1):

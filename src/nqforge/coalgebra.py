@@ -9,19 +9,42 @@ with Koszul signs in the frame degrees -a, while the function algebra uses
 the generator degrees a; the two have the same parity, so the two algebras
 are one and the same, a repeated odd letter killing the word in both.  The
 deconcatenation-style coproduct splits words through shuffles into a
-TensorPair, the tensor square.  Coderivations are determined by
-corestrictions (one map per arity), cohomomorphisms by corestrictions of a
-degree-zero family, with the 1/s! normalization realized as a sum over
-unordered set partitions.
+TensorPair, the tensor square.
+
+Coderivations and cohomomorphisms are determined by their corestrictions,
+one multilinear map per arity from frame tuples to one-letter words.  The
+corestrictions are the sparse tables of graded.py themselves: a symmetric
+bracket family gives a coderivation of degree +1, the components of a
+MorphismData give a cohomomorphism of degree 0, and graded.table_value
+does the Koszul normalization of each lookup.  The 1/s! normalization of
+a cohomomorphism is realized as a sum over unordered set partitions.
 """
 
 from __future__ import annotations
 
 from .polyring import Polynomial
-from .graded import normalize_tuple, set_partitions, shuffles
+from .graded import (
+    canonical_tuples,
+    normalize_tuple,
+    set_partitions,
+    shuffles,
+)
 from .outcome import Outcome
 from .signs import koszul_sign, sign_pow
 from .superalg import SuperFunction
+
+
+def _word(bundle, key):
+    """The frame word key with coefficient 1."""
+    return SuperFunction(
+        bundle, {key: Polynomial.constant(1, bundle.base_coordinates)}
+    )
+
+
+def _letters(bundle, entry):
+    """A table entry {target label: Polynomial} as a sum of one-letter
+    words."""
+    return SuperFunction(bundle, {(lab,): c for lab, c in entry.items()})
 
 
 class TensorPair:
@@ -29,20 +52,10 @@ class TensorPair:
 
     __slots__ = ("left_bundle", "right_bundle", "terms")
 
-    def __init__(self, left_bundle, right_bundle, terms=None):
+    def __init__(self, left_bundle, right_bundle):
         self.left_bundle = left_bundle
         self.right_bundle = right_bundle
         self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                if not coeff.is_zero():
-                    self.terms[key] = (
-                        self.terms.get(
-                            key, Polynomial.zero(coeff.coordinates)
-                        )
-                        + coeff
-                    )
-            self.terms = {k: c for k, c in self.terms.items() if not c.is_zero()}
 
     def add_term(self, lkey, rkey, coeff):
         if coeff.is_zero():
@@ -55,14 +68,9 @@ class TensorPair:
         else:
             self.terms[key] = total
 
-    def __add__(self, other):
-        out = TensorPair(self.left_bundle, self.right_bundle, dict(self.terms))
-        for (lk, rk), c in other.terms.items():
-            out.add_term(lk, rk, c)
-        return out
-
     def __sub__(self, other):
-        out = TensorPair(self.left_bundle, self.right_bundle, dict(self.terms))
+        out = TensorPair(self.left_bundle, self.right_bundle)
+        out.terms = dict(self.terms)
         for (lk, rk), c in other.terms.items():
             out.add_term(lk, rk, -c)
         return out
@@ -105,188 +113,130 @@ def coproduct(word):
     return out
 
 
-class MultilinearMap:
-    """Graded symmetric multilinear map on frame tuples, valued in words on
-    a target bundle (the same bundle for brackets, a different one for
-    morphism components).
-
-    fn is only consulted on canonically ordered tuples; evaluation on any
-    other order goes through Koszul normalization, and tuples whose
-    symmetrization vanishes return zero without consulting fn.
-    """
-
-    def __init__(self, source_bundle, target_bundle, arity, degree, fn):
-        self.source_bundle = source_bundle
-        self.target_bundle = target_bundle
-        self.arity = int(arity)
-        self.degree = int(degree)
-        self.fn = fn
-
-    def value(self, labels):
-        if len(labels) != self.arity:
-            raise ValueError(
-                "map of arity %d applied to %d entries" % (self.arity, len(labels))
-            )
-        canon, sign = normalize_tuple(labels, self.source_bundle, symmetric=True)
-        if sign == 0:
-            return SuperFunction.zero(self.target_bundle)
-        out = self.fn(canon)
-        if sign == -1:
-            out = -out
-        return out
-
-
-class Coderivation:
-    """Coderivation of the word coalgebra, given by corestrictions.
-
-    corestrictions maps arity k to a MultilinearMap with source and target
-    on the same bundle; all must share one degree.  Acting on a word sums,
-    over k and (k, r-k)-shuffles, the Koszul-signed replacement of the first
-    block by its corestriction value.
-    """
-
-    def __init__(self, bundle, corestrictions):
-        self.bundle = bundle
-        self.corestrictions = dict(corestrictions)
-        degrees = {m.degree for m in self.corestrictions.values()}
-        if len(degrees) > 1:
-            raise ValueError("corestrictions of mixed degree: %r" % degrees)
-        self.degree = degrees.pop() if degrees else 0
-
-    def apply_key(self, key, coeff):
-        bundle = self.bundle
-        out = SuperFunction.zero(bundle)
-        degs = [bundle.degree(lab) for lab in key]
-        r = len(key)
-        for k, cor in self.corestrictions.items():
-            if k > r:
-                continue
-            for perm in shuffles(k, r - k):
-                head = cor.value([key[i] for i in perm[:k]])
-                if head.is_zero():
-                    continue
-                rest = tuple(key[i] for i in perm[k:])
-                eps = koszul_sign(perm, degs)
-                out = out + head * SuperFunction(bundle, {rest: coeff * eps})
-        return out
+class _WordMap:
+    """A linear map of words, fixed by its value on each frame word."""
 
     def apply(self, word):
-        out = SuperFunction.zero(self.bundle)
+        out = SuperFunction.zero(self.target_bundle)
         for key, coeff in word.terms.items():
             out = out + self.apply_key(key, coeff)
         return out
 
 
-class Cohomomorphism:
-    """Coalgebra morphism between word coalgebras, given by a degree-zero
-    family of corestrictions (arity r maps source tuples to target words).
+class Coderivation(_WordMap):
+    """Coderivation of degree +1 of the word coalgebra whose corestrictions
+    are the brackets of a symmetric family (linfty.AntialgebraStructure).
+
+    Acting on a word sums, over k and (k, r-k)-shuffles, the Koszul-signed
+    replacement of the first block by its bracket, a one-letter word.
+    """
+
+    degree = 1
+
+    def __init__(self, family):
+        self.family = family
+        self.target_bundle = family.bundle
+
+    def apply_key(self, key, coeff):
+        bundle = self.target_bundle
+        out = SuperFunction.zero(bundle)
+        degs = [bundle.degree(lab) for lab in key]
+        r = len(key)
+        for k in self.family.arities():
+            if k > r:
+                continue
+            for perm in shuffles(k, r - k):
+                head = self.family.value([key[i] for i in perm[:k]])
+                if head.is_zero():
+                    continue
+                rest = tuple(key[i] for i in perm[k:])
+                eps = koszul_sign(perm, degs)
+                out = out + _letters(bundle, head.components) * SuperFunction(
+                    bundle, {rest: coeff * eps}
+                )
+        return out
+
+
+class Cohomomorphism(_WordMap):
+    """Coalgebra morphism between word coalgebras whose corestrictions are
+    the components of a MorphismData (arity r maps source tuples to target
+    letters, degree 0).
 
     Acting on a word sums over unordered set partitions of the letters
     (graded.set_partitions, the kernel the morphism bracket conditions
-    share), one corestriction per block; the 1/s! of the ordered-composition
+    share), one component per block; the 1/s! of the ordered-composition
     picture is exactly the passage to unordered partitions, which is well
     defined because degree-zero maps make every summand independent of
     block order.
     """
 
-    def __init__(self, source_bundle, target_bundle, corestrictions):
-        self.source_bundle = source_bundle
-        self.target_bundle = target_bundle
-        if source_bundle.base_coordinates != target_bundle.base_coordinates:
+    def __init__(self, morph):
+        self.source_bundle = source = morph.source_bundle
+        self.target_bundle = target = morph.target_bundle
+        if source.base_coordinates != target.base_coordinates:
             raise ValueError(
                 "word-level cohomomorphisms assume a shared base chart"
             )
-        self.corestrictions = dict(corestrictions)
-        for m in self.corestrictions.values():
-            if m.degree != 0:
-                raise ValueError("cohomomorphism corestrictions must have degree 0")
+        self.morph = morph
 
     def apply_key(self, key, coeff):
-        if not key:
-            # the empty word is grouplike and maps to the empty word
-            return SuperFunction(self.target_bundle, {(): coeff})
+        # the empty word has one partition, with no blocks: it is grouplike
+        # and maps to the empty word
         degs = [self.source_bundle.degree(lab) for lab in key]
         out = SuperFunction.zero(self.target_bundle)
         for blocks in set_partitions(range(len(key))):
-            piece = None
+            # Koszul sign of regrouping the word into the ordered blocks
+            eps = koszul_sign([i for block in blocks for i in block], degs)
+            piece = SuperFunction(self.target_bundle, {(): coeff * eps})
             for block in blocks:
-                cor = self.corestrictions.get(len(block))
-                val = None if cor is None else cor.value([key[i] for i in block])
-                if val is None or val.is_zero():
+                entry = self.morph.value([key[i] for i in block])
+                if not entry:
                     break
-                piece = val if piece is None else piece * val
+                piece = piece * _letters(self.target_bundle, entry)
             else:
-                # Koszul sign of regrouping the word into the ordered blocks
-                eps = koszul_sign([i for block in blocks for i in block], degs)
-                out = out + piece * (coeff * eps)
+                out = out + piece
         return out
 
-    def apply(self, word):
-        out = SuperFunction.zero(self.target_bundle)
-        for key, coeff in word.terms.items():
-            out = out + self.apply_key(key, coeff)
-        return out
+
+def basis_words(bundle, max_length):
+    """All nonvanishing canonical frame words of length 1..max_length."""
+    words = []
+    for ln in range(1, max_length + 1):
+        for key in canonical_tuples(bundle.labels(), ln):
+            canon, sign = normalize_tuple(key, bundle, symmetric=True)
+            if sign == 0:
+                continue
+            words.append(_word(bundle, key))
+    return words
 
 
 # ----- law checks -----
 
 
-def _pair_apply_left(pair, op):
-    """Apply a word operator to the left leg of a pair, no crossing sign."""
-    out = TensorPair(pair.left_bundle, pair.right_bundle)
-    for (lk, rk), c in pair.terms.items():
-        word = SuperFunction(
-            pair.left_bundle,
-            {lk: Polynomial.constant(1, pair.left_bundle.base_coordinates)},
-        )
-        img = op.apply(word)
-        for key, cc in img.terms.items():
-            out.add_term(key, rk, c * cc)
+def _on_leg(pair, leg, op, degree):
+    """op applied to one leg of a pair (leg 0 left, leg 1 right); on the
+    right leg op crosses the left one, which signs by its degree."""
+    bundles = [pair.left_bundle, pair.right_bundle]
+    source = bundles[leg]
+    bundles[leg] = op.target_bundle
+    out = TensorPair(*bundles)
+    for keys, c in pair.terms.items():
+        if leg:
+            ldeg = sum(pair.left_bundle.degree(lab) for lab in keys[0])
+            c = c * sign_pow(degree * ldeg)
+        for key, cc in op.apply(_word(source, keys[leg])).terms.items():
+            out.add_term(*(keys[:leg] + (key,) + keys[leg + 1 :]), c * cc)
     return out
 
 
-def _pair_apply_right(pair, op, op_degree):
-    """Apply a word operator to the right leg, crossing the left leg with
-    the operator's degree."""
-    out = TensorPair(pair.left_bundle, pair.right_bundle)
-    for (lk, rk), c in pair.terms.items():
-        ldeg = sum(pair.left_bundle.degree(lab) for lab in lk)
-        sign = sign_pow(op_degree * ldeg)
-        word = SuperFunction(
-            pair.right_bundle,
-            {rk: Polynomial.constant(1, pair.right_bundle.base_coordinates)},
-        )
-        img = op.apply(word)
-        for key, cc in img.terms.items():
-            out.add_term(lk, key, c * cc * sign)
-    return out
-
-
-def _pair_coproduct_left(pair):
-    """(coproduct tensor id) of a pair viewed as already-split words."""
+def _coproduct_on_leg(pair, leg):
+    """(coproduct tensor id) for leg 0, (id tensor coproduct) for leg 1, of
+    a pair viewed as already-split words, keyed by word triples."""
+    bundle = (pair.left_bundle, pair.right_bundle)[leg]
     out = {}
-    for (lk, rk), c in pair.terms.items():
-        word = SuperFunction(
-            pair.left_bundle,
-            {lk: Polynomial.constant(1, pair.left_bundle.base_coordinates)},
-        )
-        split = coproduct(word)
-        for (k1, k2), cc in split.terms.items():
-            key = (k1, k2, rk)
-            out[key] = out.get(key, Polynomial.zero(c.coordinates)) + c * cc
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _pair_coproduct_right(pair):
-    out = {}
-    for (lk, rk), c in pair.terms.items():
-        word = SuperFunction(
-            pair.right_bundle,
-            {rk: Polynomial.constant(1, pair.right_bundle.base_coordinates)},
-        )
-        split = coproduct(word)
-        for (k1, k2), cc in split.terms.items():
-            key = (lk, k1, k2)
+    for keys, c in pair.terms.items():
+        for split, cc in coproduct(_word(bundle, keys[leg])).terms.items():
+            key = keys[:leg] + split + keys[leg + 1 :]
             out[key] = out.get(key, Polynomial.zero(c.coordinates)) + c * cc
     return {k: v for k, v in out.items() if not v.is_zero()}
 
@@ -295,8 +245,8 @@ def check_coassociativity(bundle, words):
     """(coproduct tensor id) after coproduct equals (id tensor coproduct)
     after coproduct on each given word."""
     for word in words:
-        left = _pair_coproduct_left(coproduct(word))
-        right = _pair_coproduct_right(coproduct(word))
+        left = _coproduct_on_leg(coproduct(word), 0)
+        right = _coproduct_on_leg(coproduct(word), 1)
         keys = set(left) | set(right)
         for key in sorted(keys):
             zero = Polynomial.zero(bundle.base_coordinates)
@@ -309,13 +259,14 @@ def check_coderivation_law(delta, words):
     """coproduct after delta equals (delta tensor id + id tensor delta)
     after coproduct on each given word."""
     for word in words:
-        lhs = coproduct(delta.apply(word))
         split = coproduct(word)
-        rhs = _pair_apply_left(split, delta) + _pair_apply_right(
-            split, delta, delta.degree
+        diff = (
+            coproduct(delta.apply(word))
+            - _on_leg(split, 0, delta, delta.degree)
+            - _on_leg(split, 1, delta, delta.degree)
         )
-        if not (lhs - rhs).is_zero():
-            return Outcome(False, witness=word, detail=lhs - rhs)
+        if not diff.is_zero():
+            return Outcome(False, witness=word, detail=diff)
     return Outcome(True)
 
 
@@ -323,23 +274,9 @@ def check_cohomomorphism_law(phi, words):
     """Target coproduct after phi equals (phi tensor phi) after the source
     coproduct on each given word."""
     for word in words:
-        lhs = coproduct(phi.apply(word))
         split = coproduct(word)
-        rhs = TensorPair(phi.target_bundle, phi.target_bundle)
-        for (lk, rk), c in split.terms.items():
-            lw = SuperFunction(
-                phi.source_bundle,
-                {lk: Polynomial.constant(1, phi.source_bundle.base_coordinates)},
-            )
-            rw = SuperFunction(
-                phi.source_bundle,
-                {rk: Polynomial.constant(1, phi.source_bundle.base_coordinates)},
-            )
-            li = phi.apply(lw)
-            ri = phi.apply(rw)
-            for k1, c1 in li.terms.items():
-                for k2, c2 in ri.terms.items():
-                    rhs.add_term(k1, k2, c * c1 * c2)
-        if not (lhs - rhs).is_zero():
-            return Outcome(False, witness=word, detail=lhs - rhs)
+        rhs = _on_leg(_on_leg(split, 0, phi, 0), 1, phi, 0)
+        diff = coproduct(phi.apply(word)) - rhs
+        if not diff.is_zero():
+            return Outcome(False, witness=word, detail=diff)
     return Outcome(True)

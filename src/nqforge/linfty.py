@@ -29,8 +29,6 @@ import itertools
 from .polyring import Polynomial
 from .graded import (
     Section,
-    canonical_tuples,
-    normalize_tuple,
     shuffles,
     table_value,
     validate_table,
@@ -42,9 +40,7 @@ from .signs import (
     koszul_sign,
     sign_pow,
 )
-from .coalgebra import Coderivation, MultilinearMap
 from .outcome import Outcome
-from .superalg import SuperFunction
 
 
 def apply_anchor(anchor, label, poly):
@@ -313,30 +309,3 @@ def transfer_to_antialgebra(alg):
     """Symmetric brackets on the unshifted side equivalent to the given
     antisymmetric family; exact inverse of transfer_to_algebra."""
     return AntialgebraStructure(alg.bundle.shifted(), _transferred_tables(alg))
-
-
-def antialgebra_coderivation(anti):
-    """The coderivation of the word coalgebra whose corestrictions are the
-    symmetric brackets; squaring to zero on words is equivalent to the
-    homotopy identities."""
-    bundle = anti.bundle
-
-    def fn(labels):
-        comps = anti.value(labels).components
-        return SuperFunction(bundle, {(lab,): c for lab, c in comps.items()})
-
-    cores = {r: MultilinearMap(bundle, bundle, r, 1, fn) for r in anti.arities()}
-    return Coderivation(bundle, cores)
-
-
-def basis_words(bundle, max_length):
-    """All nonvanishing canonical frame words of length 1..max_length."""
-    one = Polynomial.constant(1, bundle.base_coordinates)
-    words = []
-    for ln in range(1, max_length + 1):
-        for key in canonical_tuples(bundle.labels(), ln):
-            canon, sign = normalize_tuple(key, bundle, symmetric=True)
-            if sign == 0:
-                continue
-            words.append(SuperFunction(bundle, {key: one}))
-    return words

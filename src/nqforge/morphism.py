@@ -103,10 +103,10 @@ class MorphismData:
             "component",
         )
 
-    def value(self, r, labels):
-        """Component on one frame tuple of length r, any order, as a
-        read-only {target label: Polynomial}, with the symmetry sign
-        applied."""
+    def value(self, labels):
+        """Component on one frame tuple, any order, as a read-only
+        {target label: Polynomial}, with the symmetry sign applied; the
+        tuple's length is the arity."""
         return table_value(self.components, labels, self.source_bundle, True)
 
     def is_base_preserving(self):
@@ -222,7 +222,7 @@ def check_anchor_condition(morph, source, target):
             gvar = Polynomial.variable(g, tgt_coords)
             lhs = apply_anchor(src.anchor, x, pull(gvar))
             rhs = Polynomial.zero(morph.source_bundle.base_coordinates)
-            for zeta, f in morph.value(1, (x,)).items():
+            for zeta, f in morph.value((x,)).items():
                 rhs = rhs + f * pull(apply_anchor(tgt.anchor, zeta, gvar))
             if lhs != rhs:
                 return Outcome(False, witness=(x, g, str(lhs - rhs)))
@@ -242,7 +242,7 @@ def _bracket_row(morph, src, labels, degs, acc):
             inner = src.brackets.value(tuple(labels[p] for p in perm[:s]))
             rest = tuple(labels[p] for p in perm[s:])
             for lab_i, comp in inner.components.items():
-                for zeta, poly in morph.value(r, (lab_i,) + rest).items():
+                for zeta, poly in morph.value((lab_i,) + rest).items():
                     _acc(acc, zeta, poly * comp * eps)
 
 
@@ -277,7 +277,7 @@ def _general_defect(morph, src, tgt, labels):
             if mags[i] != 1:
                 continue
             rest = labels[:i] + labels[i + 1 :]
-            entry = morph.value(t - 1, rest)
+            entry = morph.value(rest)
             if not entry:
                 continue
             sign = morphism_second_row_sign(mags, i)
@@ -289,7 +289,7 @@ def _general_defect(morph, src, tgt, labels):
     # right side: target brackets of pushed-forward blocks
     for blocks, order in _partitions(t, morph.n, tgt.brackets.tables):
         per_block = [
-            list(morph.value(len(b), tuple(labels[q] for q in b)).items())
+            list(morph.value(tuple(labels[q] for q in b)).items())
             for b in blocks
         ]
         if not all(per_block):
@@ -324,7 +324,7 @@ def _simplified_defect(morph, src, tgt, labels):
     counts = set(tgt.brackets.tables) | ({2} if tgt.anchor else set())
     for blocks, order in _partitions(t, morph.n, counts):
         sections = [
-            Section(tgt.bundle, morph.value(len(b), tuple(labels[q] for q in b)))
+            Section(tgt.bundle, morph.value(tuple(labels[q] for q in b)))
             for b in blocks
         ]
         if any(sec.is_zero() for sec in sections):

@@ -126,7 +126,7 @@ def oracle_build_phi(morph):
                 canon, sign = normalize_tuple(key, src, symmetric=True)
                 if sign == 0:
                     continue
-                comp = morph.value(r, key).get(lab)
+                comp = morph.value(key).get(lab)
                 if comp is not None and not comp.is_zero():
                     values[key] = comp
         if values:

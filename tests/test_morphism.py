@@ -349,7 +349,7 @@ def _reference_composition_side(shape, morph, tgt, labels):
 
     def value(r, key):
         if shape != "over_point":
-            return morph.value(r, key)
+            return morph.value(key)
         canon, sign = normalize_tuple(key, bundle, symmetric=False)
         entry = morph.components.get(r, {}).get(canon, {})
         sign *= bracket_transfer_sign([bundle.magnitude(l) for l in canon])
