@@ -11,8 +11,10 @@ ways: the field squares to zero on algebra generators (check_square), the
 frame-level homotopy identities with anchor corrections (plus anchor
 compatibility) hold (check_identities), and the identity residuals are
 function-linear in every slot (residual_linearity).  Each route returns an
-outcome.Outcome; the three verdicts agreeing on every fixture is the
-correspondence this package exists to certify.
+outcome.Outcome.  The correspondence this package exists to certify is the
+identities verdict equal to the square verdict on every input, with a
+passing square implying passing linearity (linearity is necessary for
+validity, not sufficient).
 
 Sign conventions come from signs.py; the dictionary between elements and
 multilinear maps from superalg.evaluate_element, element_from_values and
@@ -337,18 +339,20 @@ def residual_linearity(anti, r_max=None):
 def verify_algebroid(a, r_max=None):
     """Cross-examine an algebroid three ways, sweeping arities 1..r_max
     (default n+2): the conjunction (outcome.all_of) of one timed row per
-    route and "routes agree", which passes when the verdicts coincide, as
-    the correspondence theorem demands.  A vacuous or incomplete pass
-    proves nothing and is left out of the comparison."""
+    route and "routes agree".  That row passes when the identities verdict
+    equals the square verdict, as the correspondence theorem demands, and a
+    passing square comes with passing linearity; linearity is necessary for
+    validity, not sufficient (a residual that is a nonzero tensor is still
+    function-linear), so a failing square with passing linearity agrees.  A
+    vacuous or incomplete identities pass proves nothing and is left out of
+    the comparison."""
     anti = _as_antialgebroid(a)
     square = timed(check_square, anti)
     identities = timed(check_identities, anti, r_max)
     linearity = timed(residual_linearity, anti, r_max)
-    verdicts = {square.ok}
-    for route in (identities, linearity):
-        if not route.ok or (route.complete and not route.vacuous):
-            verdicts.add(route.ok)
-    agree = Outcome(len(verdicts) == 1, {
+    inconclusive = identities.ok and (identities.vacuous or not identities.complete)
+    agree = Outcome((identities.ok == square.ok or inconclusive)
+                    and (linearity.ok or not square.ok), {
         "square": square.ok, "identities": identities.ok, "linearity": linearity.ok,
     })
     return all_of([

@@ -12,16 +12,15 @@ that the algebra morphism intertwines the two differentials, and the two
 verdicts agreeing on every fixture, morphism or not, is the second
 correspondence this package certifies.
 
-The bracket compatibility check has three shapes: the general different-base
+The bracket compatibility check has two shapes: the general different-base
 condition (decomposition coefficients against global target frames, anchor
-derivative row, composition side), a simplified form when the base map is
-the identity (the anchor row migrates into the anchored evaluation of the
-target brackets, where it cancels), and the rank-zero-base form on the
-shifted side with printed per-block signs, which over a point is the
-componentwise morphism condition of homotopy Lie algebras.
+derivative row, composition side), which every morphism goes through, and
+the rank-zero-base form on the shifted side with printed per-block signs,
+which over a point is the componentwise morphism condition of homotopy Lie
+algebras; it is kept as an independent check of the printed signs.
 
 The composition side applies the target brackets to blocks of arguments,
-each block pushed forward by a component.  All three shapes sum it over
+each block pushed forward by a component.  Both shapes sum it over
 unordered set partitions of the arguments, one term per partition with the
 blocks listed by first argument and the Koszul (or, on the shifted side,
 chi) sign of regrouping.  This is the printed sum over ordered compositions
@@ -36,7 +35,6 @@ import itertools
 
 from .polyring import Polynomial, BaseMap
 from .graded import (
-    Section,
     canonical_tuples,
     normalize_tuple,
     set_partitions,
@@ -108,13 +106,6 @@ class MorphismData:
         {target label: Polynomial}, with the symmetry sign applied; the
         tuple's length is the arity."""
         return table_value(self.components, labels, self.source_bundle, True)
-
-    def is_base_preserving(self):
-        return (
-            tuple(self.source_bundle.base_coordinates)
-            == tuple(self.target_bundle.base_coordinates)
-            and self.base_map.is_identity()
-        )
 
 
 class AlgebraMorphism:
@@ -229,23 +220,6 @@ def check_anchor_condition(morph, source, target):
     return Outcome(True)
 
 
-def _bracket_row(morph, src, labels, degs, acc):
-    """Shared first row of the compatibility condition: components composed
-    with source brackets over two-block shuffles."""
-    t = len(labels)
-    for s in range(1, t + 1):
-        r = t + 1 - s
-        if r < 1 or r > morph.n:
-            continue
-        for perm in shuffles(s, t - s):
-            eps = koszul_sign(perm, degs)
-            inner = src.brackets.value(tuple(labels[p] for p in perm[:s]))
-            rest = tuple(labels[p] for p in perm[s:])
-            for lab_i, comp in inner.components.items():
-                for zeta, poly in morph.value((lab_i,) + rest).items():
-                    _acc(acc, zeta, poly * comp * eps)
-
-
 def _partitions(t, n, counts):
     """Set partitions of the positions 0..t-1 on the composition side: at
     most n positions per block (components stop at arity n) and a block
@@ -268,7 +242,19 @@ def _general_defect(morph, src, tgt, labels):
     pull = morph.base_map.pullback
     acc = {}
 
-    _bracket_row(morph, src, labels, degs, acc)
+    # bracket row: components composed with source brackets over two-block
+    # shuffles
+    for s in range(1, t + 1):
+        r = t + 1 - s
+        if r < 1 or r > morph.n:
+            continue
+        for perm in shuffles(s, t - s):
+            eps = koszul_sign(perm, degs)
+            inner = src.brackets.value(tuple(labels[p] for p in perm[:s]))
+            rest = tuple(labels[p] for p in perm[s:])
+            for lab_i, comp in inner.components.items():
+                for zeta, poly in morph.value((lab_i,) + rest).items():
+                    _acc(acc, zeta, poly * comp * eps)
 
     # anchor row: source anchor derivatives of the decomposition
     # coefficients of the component with one argument removed
@@ -286,7 +272,9 @@ def _general_defect(morph, src, tgt, labels):
                 if not der.is_zero():
                     _acc(acc, zeta, der * sign)
 
-    # right side: target brackets of pushed-forward blocks
+    # right side: target brackets of pushed-forward blocks, skipping a
+    # choice of block values whose target bracket is zero before
+    # multiplying them out
     for blocks, order in _partitions(t, morph.n, tgt.brackets.tables):
         per_block = [
             list(morph.value(tuple(labels[q] for q in b)).items())
@@ -294,84 +282,66 @@ def _general_defect(morph, src, tgt, labels):
         ]
         if not all(per_block):
             continue
-        eps = koszul_sign(order, degs)
+        minus_eps = -koszul_sign(order, degs)
         for choice in itertools.product(*per_block):
-            coeff = Polynomial.constant(eps, bundle.base_coordinates)
-            for _, f in choice:
+            val = tgt.brackets.value(tuple(z for z, _ in choice)).components
+            if not val:
+                continue
+            coeff = choice[0][1]
+            for _, f in choice[1:]:
                 coeff = coeff * f
             if coeff.is_zero():
                 continue
-            val = tgt.brackets.value(tuple(z for z, _ in choice))
-            for lab, c in val.components.items():
-                _acc(acc, lab, -(coeff * pull(c)))
+            coeff = coeff * minus_eps
+            for lab, c in val.items():
+                _acc(acc, lab, coeff * pull(c))
 
     return _clean(acc)
 
 
-def _simplified_defect(morph, src, tgt, labels):
-    """Base-preserving form of the condition: the anchor row disappears and
-    the target brackets are evaluated with anchor corrections on the
-    component values, taken as sections of the target bundle."""
-    t = len(labels)
+def _sweep_rows(morph, defect, t_max):
+    """One timed row per arity 1..t_max (outcome.all_of): the canonical
+    frame tuples of that arity, less those that vanish by symmetry, up to
+    the first with a nonzero defect(tuple), which with its defect is the
+    row's witness.  A pass is complete when the sweep reached arity n+1."""
     bundle = morph.source_bundle
-    degs = [bundle.degree(lab) for lab in labels]
-    acc = {}
-
-    _bracket_row(morph, src, labels, degs, acc)
-
-    # the anchored evaluation is nonzero on two blocks even without a
-    # binary bracket table
-    counts = set(tgt.brackets.tables) | ({2} if tgt.anchor else set())
-    for blocks, order in _partitions(t, morph.n, counts):
-        sections = [
-            Section(tgt.bundle, morph.value(tuple(labels[q] for q in b)))
-            for b in blocks
-        ]
-        if any(sec.is_zero() for sec in sections):
-            continue
-        eps = koszul_sign(order, degs)
-        val = tgt.brackets.evaluate(sections, tgt.anchor)
-        for lab, c in val.components.items():
-            _acc(acc, lab, c * -eps)
-
-    return _clean(acc)
-
-
-def check_bracket_conditions(morph, source, target, t_max=None):
-    """Sweep the bracket compatibility condition over all frame tuples of
-    arity 1..n+1 (or 1..t_max, t_max >= 1).
-
-    The morphism picks the shape: the simplified form when the base map is
-    the identity, the general different-base form otherwise.  The two
-    shapes give the same defect on every tuple of a base-preserving
-    morphism; the test suite checks this, tuple by tuple.
-
-    Returns the conjunction of one timed row per arity (see
-    outcome.all_of); a row's witness is the first failing frame tuple with
-    its defect, and a pass is complete when the sweep reached arity n+1.
-    """
-    src = _as_antialgebroid(source)
-    tgt = _as_antialgebroid(target)
-    defect_fn = _simplified_defect if morph.is_base_preserving() else _general_defect
-    labels = morph.source_bundle.labels()
-    if t_max is None:
-        t_max = morph.n + 1
-    elif t_max < 1:
-        raise ValueError("t_max must be at least 1, got %r" % (t_max,))
+    labels = bundle.labels()
     complete = t_max >= morph.n + 1
 
     def row(t):
         for key in canonical_tuples(labels, t):
-            canon, sign = normalize_tuple(key, morph.source_bundle, True)
-            if sign == 0:
+            if normalize_tuple(key, bundle, True)[1] == 0:
                 continue
-            defect = defect_fn(morph, src, tgt, key)
-            if defect:
-                witness = (key, {lab: str(p) for lab, p in defect.items()})
+            found = defect(key)
+            if found:
+                witness = (key, {lab: str(p) for lab, p in found.items()})
                 return Outcome(False, witness=witness)
         return Outcome(True, complete=complete)
 
     return all_of([(t, timed(row, t)) for t in range(1, t_max + 1)])
+
+
+def check_bracket_conditions(morph, source, target, t_max=None):
+    """Sweep the general bracket compatibility condition over all frame
+    tuples of arity 1..n+1 (or 1..t_max, t_max >= 1).
+
+    Every morphism, base-preserving or not, goes through the one
+    different-base shape: its defect at a tuple K is, up to the sign
+    (-1)^|zeta|, the value at K of the equivariance defect of the induced
+    algebra morphism on the dual generator zeta, term by term and whether or
+    not the anchor condition holds; the test suite checks this.
+
+    Returns the conjunction of one timed row per arity (see _sweep_rows).
+    """
+    src = _as_antialgebroid(source)
+    tgt = _as_antialgebroid(target)
+    if t_max is None:
+        t_max = morph.n + 1
+    elif t_max < 1:
+        raise ValueError("t_max must be at least 1, got %r" % (t_max,))
+    return _sweep_rows(
+        morph, lambda key: _general_defect(morph, src, tgt, key), t_max
+    )
 
 
 # ----- the algebraic condition -----
@@ -417,10 +387,9 @@ def verify_morphism(morph, source, target, t_max=None):
     algebraic = equivariance.ok
     agree = Outcome(geometric == algebraic or (geometric and not brackets.complete),
                     {"geometric": geometric, "algebraic": algebraic})
-    path = "simplified" if morph.is_base_preserving() else "general"
     return all_of(
         [("anchor condition", anchor)]
-        + [("bracket condition, arity %d (%s path)" % (t, path), row) for t, row in brackets.detail]
+        + [("bracket condition, arity %d" % t, row) for t, row in brackets.detail]
         + [("differential equivariance", equivariance), ("formulations agree", agree)]
     )
 
@@ -500,18 +469,12 @@ def over_point_defect(morph, source, target, labels):
 
 
 def check_over_point_reduction(morph, source, target):
-    """Sweep the printed shifted-side condition over all frame tuples and
-    report its verdict, for comparison with the unshifted condition's."""
+    """Sweep the printed shifted-side condition over all frame tuples of
+    arity 1..n+1, one timed row per arity as check_bracket_conditions
+    reports them, for comparison with the unshifted condition's verdict."""
     source = _as_algebroid(source)
     target = _as_algebroid(target)
-    labels = morph.source_bundle.labels()
-    for t in range(1, morph.n + 2):
-        for key in canonical_tuples(labels, t):
-            canon, sign = normalize_tuple(key, morph.source_bundle, True)
-            if sign == 0:
-                continue
-            defect = over_point_defect(morph, source, target, key)
-            if defect:
-                witness = (t, key, {lab: str(p) for lab, p in defect.items()})
-                return Outcome(False, witness=witness)
-    return Outcome(True)
+    return _sweep_rows(
+        morph, lambda key: over_point_defect(morph, source, target, key),
+        morph.n + 1,
+    )

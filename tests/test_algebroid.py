@@ -140,6 +140,22 @@ def test_truncated_routes_are_left_out_of_agreement():
         assert rows["routes agree"].ok, name
 
 
+def test_linearity_passing_beside_a_failing_square_agrees():
+    # a residual that is a nonzero tensor is still function-linear: these
+    # brackets over a line, without an anchor, break the Jacobi identity
+    # at (a, b, c) and pass linearity
+    coords = ("x",)
+    bundle = GradedBundle(coords, {1: ["a", "b", "c"]}, side="sE")
+    one = Polynomial.constant(1, coords)
+    tables = {2: {("a", "b"): {"a": one}, ("a", "c"): {"a": one},
+                  ("b", "c"): {"b": one}}}
+    rows = dict(verify_algebroid(LieNAlgebroid(bundle, tables, {})).detail)
+    assert rows["differential squares to zero"].witness == ("a", "-a*b*c")
+    assert rows["frame identities with anchor corrections"].witness == (3, ("a", "b", "c"))
+    assert rows["identity residuals are function-linear"].ok
+    assert rows["routes agree"].ok
+
+
 def test_consequence_rows_pass_on_fixtures():
     for name, algd in fixtures.all_structures().items():
         rep = consequence_checks(algd)

@@ -12,23 +12,28 @@ import pytest
 from nqforge.polyring import Polynomial, BaseMap
 from nqforge.graded import (
     GradedBundle,
-    Section,
     canonical_tuples,
     normalize_tuple,
     shuffles,
 )
-from nqforge.algebroid import LieNAntialgebroid, _as_antialgebroid, to_algebroid
-from nqforge.superalg import SuperFunction
+from nqforge.algebroid import (
+    LieNAntialgebroid,
+    _as_antialgebroid,
+    ce_differential,
+    to_algebroid,
+)
+from nqforge.linfty import apply_anchor
+from nqforge.superalg import SuperFunction, element_values
 from nqforge.signs import (
     bracket_transfer_sign,
     chi_sign,
     koszul_sign,
     over_point_block_sign,
+    sign_pow,
 )
 from nqforge.morphism import (
     MorphismData,
     _general_defect,
-    _simplified_defect,
     build_phi,
     check_anchor_condition,
     check_bracket_conditions,
@@ -64,29 +69,94 @@ def _defect_sweep(defect_fn, morph, source, target):
     return out
 
 
-def test_both_condition_paths_give_identical_rows():
-    # every base-preserving case (identity or point base), where the
-    # simplified shape applies: the two shapes agree tuple by tuple
+def _equivariance_defects(morph, source, target):
+    """E(g) = Q_src(phi(g)) - phi(Q_tgt(g)) on every target coordinate and
+    dual generator g, as {g: element_values table}."""
+    phi = build_phi(morph)
+    q_src = ce_differential(_as_antialgebroid(source))
+    q_tgt = ce_differential(_as_antialgebroid(target))
+    out = {}
+    for coord in phi.target_bundle.base_coordinates:
+        image = SuperFunction.from_polynomial(
+            phi.coordinate_images[coord], phi.source_bundle)
+        out[coord] = element_values(
+            q_src.apply(image) - phi.apply(q_tgt.image(coord)))
+    for lab in phi.target_bundle.labels():
+        out[lab] = element_values(
+            q_src.apply(phi.generator_images[lab]) - phi.apply(q_tgt.image(lab)))
+    return out
+
+
+def _anchor_defects(morph, source, target):
+    """{(X, g): lhs - rhs} of check_anchor_condition on every degree -1
+    source frame X and target coordinate g, in its sweep order."""
+    src = _as_antialgebroid(source)
+    tgt = _as_antialgebroid(target)
+    pull = morph.base_map.pullback
+    coords = tgt.bundle.base_coordinates
+    out = {}
+    for x in morph.source_bundle.labels_by_magnitude.get(1, ()):
+        for g in coords:
+            gvar = Polynomial.variable(g, coords)
+            rhs = Polynomial.zero(morph.source_bundle.base_coordinates)
+            for zeta, f in morph.value((x,)).items():
+                rhs = rhs + f * pull(apply_anchor(tgt.anchor, zeta, gvar))
+            out[x, g] = apply_anchor(src.anchor, x, pull(gvar)) - rhs
+    return out
+
+
+def test_formulations_agree_term_by_term():
+    # E(zeta) at a source tuple K is (-1)^|zeta| times the general defect's
+    # zeta entry at K, and E(g) at a degree -1 frame X is minus the anchor
+    # defect at (X, g): the two formulations compute the same tensors
     cases = {name: entry[:3] for name, entry in fixtures.all_morphisms().items()}
     cases.update(_inn_conjugation_twins())
-    swept = 0
+    cases.update(_inn_conjugation_twins(3))
+    live = 0
     for name, (m, src, tgt) in cases.items():
-        if not m.is_base_preserving():
-            continue
+        tgt_bundle = m.target_bundle
+        equiv = _equivariance_defects(m, src, tgt)
         general = _defect_sweep(_general_defect, m, src, tgt)
-        simplified = _defect_sweep(_simplified_defect, m, src, tgt)
-        assert general == simplified, name
-        swept += len(general)
-    assert swept == 315, swept
+        for zeta in tgt_bundle.labels():
+            sign = sign_pow(tgt_bundle.magnitude(zeta))
+            want = {key: d[zeta] * sign for key, d in general.items() if zeta in d}
+            assert equiv[zeta] == want, (name, zeta)
+            live += len(want)
+        anchor = _anchor_defects(m, src, tgt)
+        for g in tgt_bundle.base_coordinates:
+            want = {(x,): -d for (x, h), d in anchor.items() if h == g and d}
+            assert equiv[g] == want, (name, g)
+            live += len(want)
+        first = next(((x, g, str(d)) for (x, g), d in anchor.items() if d), None)
+        assert check_anchor_condition(m, src, tgt).witness == first, name
+    assert live == 35, live
+
+
+def test_general_shape_sees_the_anchor_row_on_an_identity_base_map():
+    # action_line to itself along the identity base map, e1 -> 2 e1 and
+    # e2 -> x e2: the anchor condition fails, and the bracket condition's
+    # witness keeps the e2 entry of the anchor row
+    src = _as_antialgebroid(fixtures.action_line())
+    b = src.bundle
+    x = Polynomial.variable("x", b.base_coordinates)
+    two = Polynomial.constant(2, b.base_coordinates)
+    comps = {1: {("e1",): {"e1": two}, ("e2",): {"e2": x}}}
+    m = MorphismData(b, b, BaseMap.identity(b.base_coordinates), comps)
+    rep = verify_morphism(m, src, src)
+    rows = dict(rep.detail)
+    assert not rows["anchor condition"].ok
+    assert rows["bracket condition, arity 1"].ok
+    assert rows["bracket condition, arity 2"].witness == (
+        ("e1", "e2"), {"e1": "-2*x + 2", "e2": "-1"})
+    assert rows["formulations agree"].ok
 
 
 def test_uncancelled_component_fails_exactly_at_arity_two():
     m, src, tgt, _ = fixtures.point_uncancelled()
-    for defect_fn in [_simplified_defect, _general_defect]:
-        got = {}
-        for key, defect in _defect_sweep(defect_fn, m, src, tgt).items():
-            got[len(key)] = got.get(len(key), True) and not defect
-        assert got == {1: True, 2: False, 3: True}, (defect_fn.__name__, got)
+    got = {}
+    for key, defect in _defect_sweep(_general_defect, m, src, tgt).items():
+        got[len(key)] = got.get(len(key), True) and not defect
+    assert got == {1: True, 2: False, 3: True}, got
 
 
 def test_bracket_witness_is_the_first_failing_arity():
@@ -135,11 +205,16 @@ def test_roundtrip_through_the_algebra_morphism():
 
 
 def test_over_point_reduction_matches_bracket_rows():
-    for name in ["point_module_spectator", "point_two_term", "point_uncancelled"]:
-        m, src, tgt, _ = fixtures.all_morphisms()[name]
+    cases = {name: fixtures.all_morphisms()[name][:3] for name in
+             ["point_module_spectator", "point_two_term", "point_uncancelled"]}
+    cases.update(_inn_conjugation_twins())
+    for name, (m, src, tgt) in cases.items():
         red = check_over_point_reduction(m, src, tgt)
-        general = _defect_sweep(_general_defect, m, src, tgt)
-        assert red.ok == (not any(general.values())), name
+        rows = check_bracket_conditions(m, src, tgt)
+        assert [t for t, _ in red.detail] == [t for t, _ in rows.detail], name
+        for (t, got), (_, want) in zip(red.detail, rows.detail):
+            assert got.ok == want.ok and got.complete, (name, t)
+        assert red.ok == rows.ok and red.witness == rows.witness, name
 
 
 def test_anchor_condition_isolates_the_dropped_term():
@@ -377,12 +452,6 @@ def _reference_composition_side(shape, morph, tgt, labels):
                 else:
                     sign = koszul_sign(perm, degs)
                 values = [value(len(b), b) for b in blocks]
-                if shape == "simplified":
-                    sections = [Section(tgt.bundle, v) for v in values]
-                    val = tgt.brackets.evaluate(sections, tgt.anchor)
-                    for lab, c in val.components.items():
-                        add(lab, c * -(sign * w))
-                    continue
                 for choice in itertools.product(*(v.items() for v in values)):
                     coeff = Polynomial.constant(sign * w, bundle.base_coordinates)
                     for _, f in choice:
@@ -402,8 +471,6 @@ def _check_against_reference(morph, source, target):
     tgt = _as_antialgebroid(target)
     bare = LieNAntialgebroid(tgt.bundle, {}, {})
     shapes = {"general": (_general_defect, src, tgt, bare)}
-    if morph.is_base_preserving():
-        shapes["simplified"] = (_simplified_defect, src, tgt, bare)
     if not morph.source_bundle.base_coordinates:
         shapes["over_point"] = (over_point_defect,) + tuple(
             map(to_algebroid, (src, tgt, bare)))
@@ -424,21 +491,23 @@ def _check_against_reference(morph, source, target):
     return live
 
 
-def _inn_conjugation_twins():
+def _inn_conjugation_twins(m=2):
+    """The inn(gl(m)) conjugation of perfbench's families and its
+    perturbed twin, as {name: (morph, source, target)}."""
     here = os.path.dirname(os.path.abspath(__file__))
     sys.path.insert(0, os.path.join(os.path.dirname(here), "perfbench"))
     import families
     from nqforge.io import morphism_from_dict
 
     return {case.name: morphism_from_dict(case.data)
-            for case in families.with_twin(families.inn_conjugation, 2, seed=1)}
+            for case in families.with_twin(families.inn_conjugation, m, seed=1)}
 
 
 def test_partition_sum_matches_printed_sum_on_fixtures_and_inn_twins():
     cases = {name: entry[:3] for name, entry in fixtures.all_morphisms().items()}
     cases.update(_inn_conjugation_twins())
     live = sum(_check_against_reference(*case) for case in cases.values())
-    assert live > 20, live
+    assert live == 20, live
 
 
 def _random_poly(rng, coords):
