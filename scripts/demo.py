@@ -17,7 +17,6 @@ from nqforge.algebroid import (
     consequence_checks,
     de_rham_compare,
     extract_algebroid,
-    to_antialgebroid,
     verify_algebroid,
 )
 from nqforge.derived import DerivedSetup
@@ -38,32 +37,31 @@ def show(rows):
 
 
 def main():
-    algd = fixtures.action_line()
+    anti = fixtures.action_line()
     banner("action algebroid on the line")
-    show(verify_algebroid(algd).detail)
+    show(verify_algebroid(anti).detail)
 
     banner("its homological vector field")
-    q = ce_differential(algd)
+    q = ce_differential(anti)
     for name in q.bundle.base_coordinates + tuple(q.bundle.labels()):
         print("  Q %s = %s" % (name, q.image(name)))
 
     banner("brackets recovered from the field")
     back = extract_algebroid(q.bundle, q)
-    print("tables match:", back.brackets.tables == algd.brackets.tables)
-    print("anchor match:", back.anchor == algd.anchor)
+    print("tables match:", back.brackets.tables == anti.brackets.tables)
+    print("anchor match:", back.anchor == anti.anchor)
 
     banner("nested-commutator route")
-    anti = to_antialgebroid(algd)
     ds = DerivedSetup(anti.bundle, q)
     e1 = anti.bundle.frame_section("e1")
     e2 = anti.bundle.frame_section("e2")
     print("  bracket(e1, e2) =", ds.bracket([e1, e2]))
 
     banner("consequence rows")
-    show(consequence_checks(algd).detail)
+    show(consequence_checks(anti).detail)
 
     banner("differential-forms comparison")
-    dr = de_rham_compare(algd)
+    dr = de_rham_compare(anti)
     print("routes agree exactly:", dr.ok, "| relation to textbook:", dr.detail)
 
     banner("a morphism and a broken one")
@@ -75,7 +73,7 @@ def main():
               % (name, mrep.ok, expected, agree.ok))
 
     banner("the structure file nqforge reads (see fixtures/action_line.json)")
-    print(json.dumps(structure_to_dict(algd, q=q), indent=2))
+    print(json.dumps(structure_to_dict(anti, q=q, side="sE"), indent=2))
 
 
 if __name__ == "__main__":

@@ -2,6 +2,9 @@
 built-in instances.  Run from the repository root:
 
     python3 scripts/make_fixtures.py
+
+Structures are written on the shifted side ("sE"), morphisms with their
+source and target on the unshifted side.
 """
 
 import os
@@ -10,37 +13,28 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from nqforge import fixtures, io as structio
-from nqforge.algebroid import ce_differential, to_antialgebroid
+from nqforge.algebroid import ce_differential
+
+OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
-def main():
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "fixtures")
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
+def documents():
+    """{file name without .json: JSON document} of every fixture file."""
+    docs = {}
+    for name, anti in fixtures.all_structures().items():
+        docs[name] = structio.structure_to_dict(anti, ce_differential(anti), side="sE")
 
-    def emit(name, data):
-        path = os.path.join(out_dir, name + ".json")
-        structio.save(path, data)
-        written.append(path)
-
-    for name, algd in fixtures.all_structures().items():
-        anti = to_antialgebroid(algd)
-        q = ce_differential(anti)
-        emit(name, structio.structure_to_dict(algd, q))
-
-    for name, algd in fixtures.perturbed_structures().items():
-        emit(name + "_perturbed", structio.structure_to_dict(algd))
+    for name, anti in fixtures.perturbed_structures().items():
+        docs[name + "_perturbed"] = structio.structure_to_dict(anti, side="sE")
 
     # a well-formed field that does not match its own declared brackets
-    algd = fixtures.action_line()
-    anti = to_antialgebroid(algd)
-    q = ce_differential(anti)
-    data = structio.structure_to_dict(algd, q)
+    anti = fixtures.action_line()
+    data = structio.structure_to_dict(anti, ce_differential(anti), side="sE")
     terms = data["q"]["e1"]
     terms[0][0] = "2*" + terms[0][0] if terms[0][0] != "1" else "2"
-    emit("action_line_corrupted_q", data)
+    docs["action_line_corrupted_q"] = data
 
-    emit("empty", {"kind": "structure", "base_coordinates": [], "frames": {}})
+    docs["empty"] = {"kind": "structure", "base_coordinates": [], "frames": {}}
 
     morphism_files = {
         "identity_tangent_plane": fixtures.identity_tangent_plane(),
@@ -53,9 +47,15 @@ def main():
         "doubled_action_line": fixtures.doubled_action_line(),
     }
     for name, (morph, src, tgt, _expected) in morphism_files.items():
-        emit("morphism_" + name, structio.morphism_to_dict(morph, src, tgt))
+        docs["morphism_" + name] = structio.morphism_to_dict(morph, src, tgt)
+    return docs
 
-    for path in written:
+
+def main():
+    os.makedirs(OUT_DIR, exist_ok=True)
+    for name, data in documents().items():
+        path = os.path.join(OUT_DIR, name + ".json")
+        structio.save(path, data)
         print("wrote", os.path.relpath(path))
 
 

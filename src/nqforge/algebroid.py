@@ -1,20 +1,22 @@
 """Split Lie n-algebroids: bracket data, the differential it generates, and
 the checks tying the two presentations together.
 
-A LieNAlgebroid carries antisymmetric brackets on the shifted bundle plus an
-anchor on the degree-0 frames; a LieNAntialgebroid is the same structure
-moved to the unshifted side, where brackets are symmetric of degree +1 and
-the differential lives.  ce_differential builds the degree-+1 vector field
-on the function algebra from bracket and anchor data, extract_algebroid
-inverts it, and verify_algebroid cross-examines a candidate structure three
-ways: the field squares to zero on algebra generators (check_square), the
-frame-level homotopy identities with anchor corrections (plus anchor
-compatibility) hold (check_identities), and the identity residuals are
-function-linear in every slot (residual_linearity).  Each route returns an
-outcome.Outcome.  The correspondence this package exists to certify is the
-identities verdict equal to the square verdict on every input, with a
-passing square implying passing linearity (linearity is necessary for
-validity, not sufficient).
+A LieNAntialgebroid carries symmetric brackets of degree +1 on the
+unshifted bundle plus an anchor on the degree -1 frames; it is the one
+structure type the library takes and returns.  Data written on the shifted
+side (antisymmetric brackets, the Sheng-Zhu convention) enters through
+LieNAntialgebroid.from_shifted, which validates it there and moves it
+across the degree shift once.  ce_differential builds the degree-+1 vector
+field on the function algebra from bracket and anchor data,
+extract_algebroid inverts it, and verify_algebroid cross-examines a
+candidate structure three ways: the field squares to zero on algebra
+generators (check_square), the frame-level homotopy identities with anchor
+corrections (plus anchor compatibility) hold (check_identities), and the
+identity residuals are function-linear in every slot (residual_linearity).
+Each route returns an outcome.Outcome.  The correspondence this package
+exists to certify is the identities verdict equal to the square verdict on
+every input, with a passing square implying passing linearity (linearity
+is necessary for validity, not sufficient).
 
 Sign conventions come from signs.py; the dictionary between elements and
 multilinear maps from superalg.evaluate_element, element_from_values and
@@ -77,30 +79,8 @@ def _validate_anchor(bundle, anchor):
     return clean
 
 
-class LieNAlgebroid:
-    """Bracket presentation on the shifted side: n, antisymmetric brackets
-    of degree 2-i, and an anchor on the degree-0 frames."""
-
-    def __init__(self, bundle, brackets, anchor):
-        if bundle.side != "sE":
-            raise ValueError("algebroid data lives on the shifted bundle")
-        if bundle.n < 1:
-            raise ValueError("need at least one graded piece")
-        if not isinstance(brackets, AlgebraStructure):
-            brackets = AlgebraStructure(bundle, brackets)
-        if brackets.bundle is not bundle and not brackets.bundle.same_frames(bundle):
-            raise ValueError("brackets live on a different bundle")
-        self.bundle = bundle
-        self.n = bundle.n
-        self.brackets = brackets
-        self.anchor = _validate_anchor(bundle, anchor)
-
-    def __repr__(self):
-        return "LieNAlgebroid(n=%d, arities=%r)" % (self.n, self.brackets.arities())
-
-
 class LieNAntialgebroid:
-    """The same structure on the unshifted side: symmetric brackets of
+    """A split Lie n-algebroid on the unshifted side: symmetric brackets of
     degree +1 and the anchor acting through the degree -1 frames."""
 
     def __init__(self, bundle, brackets, anchor):
@@ -115,6 +95,14 @@ class LieNAntialgebroid:
         self.brackets = brackets
         self.anchor = _validate_anchor(bundle, anchor)
 
+    @classmethod
+    def from_shifted(cls, s_bundle, tables, anchor):
+        """The structure written on the shifted side: antisymmetric
+        brackets of degree 2-i on s_bundle, validated there, moved across
+        the degree shift by linfty.transfer_to_antialgebra."""
+        brackets = transfer_to_antialgebra(AlgebraStructure(s_bundle, tables))
+        return cls(s_bundle.shifted(), brackets, anchor)
+
     def __repr__(self):
         return "LieNAntialgebroid(n=%d, arities=%r)" % (
             self.n,
@@ -122,41 +110,19 @@ class LieNAntialgebroid:
         )
 
 
-def to_antialgebroid(algebroid):
-    """Move bracket data across the degree shift (anchor rows carry over
-    verbatim; the frames are shared)."""
-    anti_bundle = algebroid.bundle.shifted()
-    anti_brackets = transfer_to_antialgebra(algebroid.brackets)
-    return LieNAntialgebroid(anti_bundle, anti_brackets, algebroid.anchor)
-
-
 def to_algebroid(anti):
-    """Inverse of to_antialgebroid, exact on the nose."""
-    s_bundle = anti.bundle.shifted()
-    s_brackets = transfer_to_algebra(anti.brackets)
-    return LieNAlgebroid(s_bundle, s_brackets, anti.anchor)
-
-
-def _as_antialgebroid(a):
-    if isinstance(a, LieNAntialgebroid):
-        return a
-    if isinstance(a, LieNAlgebroid):
-        return to_antialgebroid(a)
-    raise TypeError("expected an algebroid or antialgebroid, got %r" % type(a))
-
-
-def _as_algebroid(a):
-    if isinstance(a, LieNAlgebroid):
-        return a
-    if isinstance(a, LieNAntialgebroid):
-        return to_algebroid(a)
-    raise TypeError("expected an algebroid or antialgebroid, got %r" % type(a))
+    """The bracket family of the shifted presentation (antisymmetric, the
+    Sheng-Zhu convention), for the consumers that work on that side; the
+    anchor is shared.  Each call is one transfer, which the benchmark
+    tracer counts (perfbench/spans.py), so a consumer takes it once per
+    check, never per tuple."""
+    return transfer_to_algebra(anti.brackets)
 
 
 # ----- the differential -----
 
 
-def ce_differential(a):
+def ce_differential(anti):
     """The degree-+1 vector field encoding the bracket data.
 
     On a base coordinate: minus the sum over degree -1 frames of the anchor
@@ -168,7 +134,6 @@ def ce_differential(a):
     contributes only through the base-coordinate images here; the section-
     level defining formula is exercised against this field in the tests.)
     """
-    anti = _as_antialgebroid(a)
     bundle = anti.bundle
     images = {}
     for coord in bundle.base_coordinates:
@@ -336,7 +301,7 @@ def residual_linearity(anti, r_max=None):
     return Outcome(True, complete=complete)
 
 
-def verify_algebroid(a, r_max=None):
+def verify_algebroid(anti, r_max=None):
     """Cross-examine an algebroid three ways, sweeping arities 1..r_max
     (default n+2): the conjunction (outcome.all_of) of one timed row per
     route and "routes agree".  That row passes when the identities verdict
@@ -346,7 +311,6 @@ def verify_algebroid(a, r_max=None):
     function-linear), so a failing square with passing linearity agrees.  A
     vacuous or incomplete identities pass proves nothing and is left out of
     the comparison."""
-    anti = _as_antialgebroid(a)
     square = timed(check_square, anti)
     identities = timed(check_identities, anti, r_max)
     linearity = timed(residual_linearity, anti, r_max)
@@ -366,7 +330,7 @@ def verify_algebroid(a, r_max=None):
 # ----- consequences -----
 
 
-def consequence_checks(a):
+def consequence_checks(anti):
     """Identities that follow from validity, each checked directly:
     the anchor kills unary-bracket images, the anchor represents the binary
     bracket by vector-field commutators, the nested-commutator brackets of
@@ -375,7 +339,6 @@ def consequence_checks(a):
 
     Returns the conjunction of the named rows, each timed (see
     outcome.all_of)."""
-    anti = _as_antialgebroid(a)
     setup = DerivedSetup(anti.bundle, ce_differential(anti))
     return all_of([
         ("anchor-compatibility", timed(anchor_compatibility, anti)),
@@ -465,13 +428,14 @@ def _form_value(form, labels_tuple, bundle):
     return got if perm_sign(order) == 1 else -got
 
 
-def de_rham_compare(algd):
+def de_rham_compare(anti):
     """The differential on antisymmetric forms of a classical algebroid,
     two ways, compared tuple by tuple on forms of degree 0..2 (= n+1).
 
     Route one transports the form through the suspension dictionary,
     applies the vector field of ce_differential, and transports back.
-    Route three is the textbook operator with 0-based alternating signs.
+    Route three is the textbook operator with 0-based alternating signs,
+    reading the shifted-side brackets (to_algebroid).
     Route two, the shifted-side formula (bracket insertions over 2-subsets
     {i, j} signed perm_sign((i, j) + rest), minus the anchor sum over
     1-subsets {i} signed (-1)^i), is route three negated term by term:
@@ -482,19 +446,18 @@ def de_rham_compare(algd):
     package's conventions against the textbook normalization) when some
     value is nonzero, "textbook" when all vanish.
     """
-    if algd.n != 1:
+    if anti.n != 1:
         raise ValueError("the classical comparison needs n = 1")
-    anti = to_antialgebroid(algd)
     bundle = anti.bundle
     q = ce_differential(anti)
     coords = bundle.base_coordinates
     zero = Polynomial.zero(coords)
     labels = list(bundle.labels_by_magnitude.get(1, ()))
-    anchor = algd.anchor
-    brackets = algd.brackets
+    anchor = anti.anchor
+    brackets = to_algebroid(anti)
 
     nonzero = False
-    for s in range(algd.n + 2):
+    for s in range(anti.n + 2):
         for form in _standard_test_forms(bundle, s) if s > 0 else [
             {(): Polynomial.variable(c, coords)} for c in coords
         ] + [{(): Polynomial.constant(3, coords)}]:

@@ -25,14 +25,14 @@ import json
 import sys
 
 from .algebroid import (
-    _as_antialgebroid,
+    LieNAntialgebroid,
     ce_differential,
     consequence_checks,
     extract_algebroid,
     to_algebroid,
-    to_antialgebroid,
     verify_algebroid,
 )
+from .linfty import transfer_to_antialgebra
 from .morphism import build_phi, extract_morphism, verify_morphism
 from .outcome import Outcome, timed
 from . import io as structio
@@ -114,8 +114,7 @@ def _finish(args, report, extra=None, text_body=None):
 
 
 def cmd_verify(args):
-    struct, _ = structio.load_structure(args.file)
-    anti = _as_antialgebroid(struct)
+    anti, _ = structio.load_structure(args.file)
     rows = verify_algebroid(anti, args.max_arity).detail
     rows += consequence_checks(anti).detail
     return _finish(args, Report("verify", args.file, rows))
@@ -125,8 +124,7 @@ def cmd_verify(args):
 
 
 def cmd_to_q(args):
-    struct, _ = structio.load_structure(args.file)
-    anti = _as_antialgebroid(struct)
+    anti, _ = structio.load_structure(args.file)
     q = ce_differential(anti)
     report = Report("to-q", args.file)
     terms = structio.q_to_terms(q)
@@ -148,8 +146,7 @@ def cmd_from_q(args):
         raise structio.StructureFileError(
             "from-q needs a structure file with a \"q\" block", args.file
         )
-    struct, q = structio.structure_from_dict(data, context=args.file)
-    anti = _as_antialgebroid(struct)
+    anti, q = structio.structure_from_dict(data, context=args.file)
     extracted = extract_algebroid(anti.bundle, q)
     report = Report("from-q", args.file)
     if anti.brackets.tables or anti.anchor:
@@ -187,10 +184,10 @@ def _tables_match(declared, extracted):
 
 
 def cmd_roundtrip(args):
-    kind, payload = structio.load_any(args.file)
+    data = structio.load_path(args.file)
     report = Report("roundtrip", args.file)
-    if kind == "morphism":
-        morph, source, target = payload
+    if isinstance(data, dict) and data.get("kind") == "morphism":
+        morph, source, target = structio.morphism_from_dict(data, args.file)
         phi = build_phi(morph)
         back = extract_morphism(phi)
         report.check(
@@ -217,19 +214,19 @@ def cmd_roundtrip(args):
         )
         return _finish(args, report)
 
-    struct, q = payload
-    anti = _as_antialgebroid(struct)
+    anti, q = structio.structure_from_dict(data, args.file)
     generated = ce_differential(anti)
     back = extract_algebroid(anti.bundle, generated)
     report.check(
         "brackets -> field -> brackets", lambda: _tables_match(anti, back)
     )
-    if struct.bundle.side == "sE":
-        transferred = to_algebroid(to_antialgebroid(struct))
-    else:
-        transferred = to_antialgebroid(to_algebroid(struct))
+    there_and_back = LieNAntialgebroid(
+        anti.bundle,
+        transfer_to_antialgebra(to_algebroid(anti)),
+        anti.anchor,
+    )
     report.check(
-        "degree shift there and back", lambda: _tables_match(struct, transferred)
+        "degree shift there and back", lambda: _tables_match(anti, there_and_back)
     )
     if q is not None:
         extracted = extract_algebroid(anti.bundle, q)
@@ -248,9 +245,11 @@ def cmd_roundtrip(args):
                 "field survives extraction and regeneration",
                 lambda: _q_match(q, regenerated),
             )
-    redone, _ = structio.structure_from_dict(structio.structure_to_dict(struct))
+    redone, _ = structio.structure_from_dict(
+        structio.structure_to_dict(anti, side=data.get("side", "E"))
+    )
     report.check(
-        "printer then parser is the identity", lambda: _tables_match(struct, redone)
+        "printer then parser is the identity", lambda: _tables_match(anti, redone)
     )
     return _finish(args, report)
 

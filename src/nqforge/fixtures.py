@@ -1,8 +1,9 @@
 """Desk-scale instances used across the test suite and the bundled demos.
 
-Structure fixtures come as bracket-side data (antisymmetric brackets on the
-shifted bundle plus an anchor); morphism fixtures return (data, source,
-target, expected) with source and target already on the unshifted side.
+Structure fixtures are written as shifted-side data (antisymmetric brackets
+on the shifted bundle plus an anchor) and built by
+LieNAntialgebroid.from_shifted, as a shifted-side file is read; morphism
+fixtures return (data, source, target, expected).
 Expected verdicts are part of the fixture: the broken variants are broken
 on purpose and stay that way.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from .polyring import Polynomial, BaseMap
 from .graded import GradedBundle
-from .algebroid import LieNAlgebroid, LieNAntialgebroid, to_antialgebroid
+from .algebroid import LieNAntialgebroid
 from .morphism import MorphismData
 
 
@@ -46,7 +47,7 @@ def tangent_plane():
     coords = ("x", "y")
     bundle = GradedBundle(coords, {1: ["e1", "e2"]}, side="sE")
     anchor = _row(coords, {"e1": {"x": 1}, "e2": {"y": 1}})
-    return LieNAlgebroid(bundle, {}, anchor)
+    return LieNAntialgebroid.from_shifted(bundle, {}, anchor)
 
 
 def action_line():
@@ -57,7 +58,7 @@ def action_line():
     x = Polynomial.variable("x", coords)
     anchor = _row(coords, {"e1": {"x": 1}, "e2": {"x": x}})
     tables = _tab(coords, {2: {("e1", "e2"): {"e1": 1}}})
-    return LieNAlgebroid(bundle, tables, anchor)
+    return LieNAntialgebroid.from_shifted(bundle, tables, anchor)
 
 
 def two_term():
@@ -65,14 +66,14 @@ def two_term():
     coords = ("t",)
     bundle = GradedBundle(coords, {1: ["a"], 2: ["b"]}, side="sE")
     tables = _tab(coords, {1: {("b",): {"a": 1}}})
-    return LieNAlgebroid(bundle, tables, {})
+    return LieNAntialgebroid.from_shifted(bundle, tables, {})
 
 
 def jacobiator_point():
     """Degree-2 structure over a point whose only bracket is ternary."""
     bundle = GradedBundle((), {1: ["e1", "e2", "e3"], 2: ["m"]}, side="sE")
     tables = _tab((), {3: {("e1", "e2", "e3"): {"m": 1}}})
-    return LieNAlgebroid(bundle, tables, {})
+    return LieNAntialgebroid.from_shifted(bundle, tables, {})
 
 
 def module_point():
@@ -81,7 +82,7 @@ def module_point():
     by the identity."""
     bundle = GradedBundle((), {1: ["e1", "e2"], 2: ["d"]}, side="sE")
     tables = _tab((), {2: {("e1", "e2"): {"e1": 1}, ("e2", "d"): {"d": 1}}})
-    return LieNAlgebroid(bundle, tables, {})
+    return LieNAntialgebroid.from_shifted(bundle, tables, {})
 
 
 def all_structures():
@@ -105,7 +106,7 @@ def tangent_plane_perturbed():
     bundle = GradedBundle(coords, {1: ["e1", "e2"]}, side="sE")
     anchor = _row(coords, {"e1": {"x": 1}, "e2": {"y": 1}})
     tables = _tab(coords, {2: {("e1", "e2"): {"e1": 1}}})
-    return LieNAlgebroid(bundle, tables, anchor)
+    return LieNAntialgebroid.from_shifted(bundle, tables, anchor)
 
 
 def action_line_perturbed():
@@ -114,7 +115,7 @@ def action_line_perturbed():
     x = Polynomial.variable("x", coords)
     anchor = _row(coords, {"e1": {"x": 1}, "e2": {"x": x}})
     tables = _tab(coords, {2: {("e1", "e2"): {"e1": 1, "e2": 1}}})
-    return LieNAlgebroid(bundle, tables, anchor)
+    return LieNAntialgebroid.from_shifted(bundle, tables, anchor)
 
 
 def two_term_perturbed():
@@ -122,7 +123,7 @@ def two_term_perturbed():
     bundle = GradedBundle(coords, {1: ["a"], 2: ["b"]}, side="sE")
     tables = _tab(coords, {1: {("b",): {"a": 1}}})
     anchor = _row(coords, {"a": {"t": 1}})
-    return LieNAlgebroid(bundle, tables, anchor)
+    return LieNAntialgebroid.from_shifted(bundle, tables, anchor)
 
 
 def jacobiator_point_perturbed():
@@ -131,7 +132,7 @@ def jacobiator_point_perturbed():
         3: {("e1", "e2", "e3"): {"m": 1}},
         1: {("m",): {"e1": 1}},
     })
-    return LieNAlgebroid(bundle, tables, {})
+    return LieNAntialgebroid.from_shifted(bundle, tables, {})
 
 
 def module_point_perturbed():
@@ -139,7 +140,7 @@ def module_point_perturbed():
     tables = _tab((), {
         2: {("e1", "e2"): {"e1": 1}, ("e1", "d"): {"d": 1}, ("e2", "d"): {"d": 1}},
     })
-    return LieNAlgebroid(bundle, tables, {})
+    return LieNAntialgebroid.from_shifted(bundle, tables, {})
 
 
 def perturbed_structures():
@@ -154,16 +155,11 @@ def perturbed_structures():
 
 # ----- morphisms -----
 #
-# Builders return (data, source, target, expected_valid) where source and
-# target live on the unshifted side.
-
-
-def _anti(algd):
-    return to_antialgebroid(algd)
+# Builders return (data, source, target, expected_valid).
 
 
 def identity_tangent_plane():
-    src = _anti(tangent_plane())
+    src = tangent_plane()
     b = src.bundle
     comps = _tab(b.base_coordinates, {
         1: {("e1",): {"e1": 1}, ("e2",): {"e2": 1}},
@@ -173,7 +169,7 @@ def identity_tangent_plane():
 
 
 def identity_action_line():
-    src = _anti(action_line())
+    src = action_line()
     b = src.bundle
     comps = _tab(b.base_coordinates, {
         1: {("e1",): {"e1": 1}, ("e2",): {"e2": 1}},
@@ -185,7 +181,7 @@ def identity_action_line():
 def doubled_action_line():
     """Doubling the frame component without touching the base map breaks
     both formulations at once."""
-    src = _anti(action_line())
+    src = action_line()
     b = src.bundle
     comps = _tab(b.base_coordinates, {
         1: {("e1",): {"e1": 2}, ("e2",): {"e2": 2}},
@@ -225,7 +221,7 @@ def tangent_squaring_broken():
 
 
 def rescale_two_term():
-    src = _anti(two_term())
+    src = two_term()
     b = src.bundle
     comps = _tab(b.base_coordinates, {1: {("a",): {"a": 3}, ("b",): {"b": 3}}})
     m = MorphismData(b, b, BaseMap.identity(b.base_coordinates), comps)
@@ -237,8 +233,8 @@ def plane_to_line():
     multiplication map (x, y) -> x y.  Neither base-preserving nor
     component-diagonal, so the anchor row of the general condition is
     exercised for real."""
-    src = _anti(tangent_plane())
-    tgt = _anti(action_line())
+    src = tangent_plane()
+    tgt = action_line()
     coords = src.bundle.base_coordinates
     x = Polynomial.variable("x", coords)
     y = Polynomial.variable("y", coords)
@@ -252,8 +248,8 @@ def plane_to_line():
 
 
 def plane_to_line_broken():
-    src = _anti(tangent_plane())
-    tgt = _anti(action_line())
+    src = tangent_plane()
+    tgt = action_line()
     coords = src.bundle.base_coordinates
     x = Polynomial.variable("x", coords)
     y = Polynomial.variable("y", coords)

@@ -17,10 +17,14 @@ under key "a").  Bracket and component keys are comma-joined frame tuples
 in canonical order.  Coefficients are infix polynomial strings over the
 base coordinates (plain integers also pass).  side "E" reads the brackets
 as the graded-symmetric family on the unshifted bundle, side "sE" as the
-antisymmetric family on the shifted one.  The optional "q" block gives a
-degree-+1 vector field directly: for every base coordinate and every frame
-label (standing for its dual generator) a list of [coefficient, word]
-terms, the word being a list of frame labels.
+antisymmetric family on the shifted one; the side is a property of the
+file only.  Either way the loader returns a LieNAntialgebroid: shifted
+tables are validated on the shifted bundle and moved across the degree
+shift once (LieNAntialgebroid.from_shifted), and structure_to_dict writes
+them back through the same transfer.  The optional "q" block gives a
+degree-+1 vector field on the unshifted bundle directly: for every base
+coordinate and every frame label (standing for its dual generator) a list
+of [coefficient, word] terms, the word being a list of frame labels.
 
 A morphism file is
 
@@ -52,7 +56,7 @@ import json
 from .polyring import Polynomial, BaseMap, PolynomialSyntaxError, parse_polynomial
 from .graded import GradedBundle
 from .superalg import Derivation, SuperFunction
-from .algebroid import LieNAlgebroid, LieNAntialgebroid
+from .algebroid import LieNAntialgebroid, to_algebroid
 from .morphism import MorphismData
 
 
@@ -253,9 +257,9 @@ def _q_from_dict(data, bundle, context):
 
 
 def structure_from_dict(data, context="structure"):
-    """Build an algebroid (side sE) or antialgebroid (side E) plus the raw
-    field of the optional "q" block, which must be zero or homogeneous of
-    standard degree +1."""
+    """Build the structure, written on either side, plus the raw field of
+    the optional "q" block, which must be zero or homogeneous of standard
+    degree +1."""
     data = _expect_dict(data, context, _STRUCTURE_KEYS)
     if data.get("kind", "structure") != "structure":
         raise StructureFileError("kind must be \"structure\"", context)
@@ -267,15 +271,14 @@ def structure_from_dict(data, context="structure"):
     anchor = _anchor_from_dict(data.get("anchor", {}), bundle, context + ".anchor")
     try:
         if bundle.side == "sE":
-            struct = LieNAlgebroid(bundle, brackets, anchor)
+            struct = LieNAntialgebroid.from_shifted(bundle, brackets, anchor)
         else:
             struct = LieNAntialgebroid(bundle, brackets, anchor)
     except (ValueError, KeyError) as exc:
         raise StructureFileError(str(exc), context) from exc
     q = None
     if "q" in data:
-        e_bundle = bundle if bundle.side == "E" else bundle.shifted()
-        q = _q_from_dict(data["q"], e_bundle, context + ".q")
+        q = _q_from_dict(data["q"], struct.bundle, context + ".q")
         degrees = list(q.std_parts())
         if degrees not in ([], [1]):
             raise StructureFileError(
@@ -296,8 +299,8 @@ def morphism_from_dict(data, context="morphism"):
         _expect_dict(data.get("target"), context + ".target"),
         context + ".target",
     )
-    src_bundle = source.bundle if source.bundle.side == "E" else source.bundle.shifted()
-    tgt_bundle = target.bundle if target.bundle.side == "E" else target.bundle.shifted()
+    src_bundle = source.bundle
+    tgt_bundle = target.bundle
     images = {}
     for coord, value in _expect_dict(
         data.get("base_map", {}), context + ".base_map"
@@ -374,11 +377,14 @@ def tables_to_dict(tables):
     }
 
 
-def structure_to_dict(struct, q=None):
+def structure_to_dict(struct, q=None, side="E"):
+    """The structure block of struct with its brackets written on the given
+    side; inverse of structure_from_dict."""
     bundle = struct.bundle
+    brackets = to_algebroid(struct) if side == "sE" else struct.brackets
     data = {
         "kind": "structure",
-        "side": bundle.side,
+        "side": side,
         "base_coordinates": list(bundle.base_coordinates),
         "frames": {
             str(a): list(labs)
@@ -388,7 +394,7 @@ def structure_to_dict(struct, q=None):
             lab: {c: str(p) for c, p in sorted(row.items())}
             for lab, row in sorted(struct.anchor.items())
         },
-        "brackets": tables_to_dict(struct.brackets.tables),
+        "brackets": tables_to_dict(brackets.tables),
     }
     if q is not None:
         data["q"] = q_to_terms(q)

@@ -1,16 +1,17 @@
 """Homotopy bracket families on both sides of the degree shift.
 
 AntialgebraStructure holds graded symmetric brackets of degree +1 on the
-unshifted bundle (degrees -1..-n); AlgebraStructure holds graded
-antisymmetric brackets of degree 2-i on the shifted bundle (degrees
-0..-(n-1)).  Both store structure functions in the sparse table format of
-graded.py (validate_table checks it, table_value looks entries up),
-evaluate on arbitrary sections by multilinear expansion, and verify their
-homotopy Jacobi identities on the frame tuples where a residual term can be
-nonzero, read off the tables (_candidates).  Both identities are the same
-sum over shuffles of nested brackets, computed by one loop
-(homotopy_residual_on_sections); only the per-term sign differs, and each
-structure class supplies its own (_identity_sign).
+unshifted bundle (degrees -1..-n), the family every structure carries;
+AlgebraStructure holds graded antisymmetric brackets of degree 2-i on the
+shifted bundle (degrees 0..-(n-1)), the family of shifted-side files and
+of the printed over-point condition.  Both store structure functions in
+the sparse table format of graded.py (validate_table checks it, table_value
+looks entries up), evaluate on arbitrary sections by multilinear expansion,
+and verify their homotopy Jacobi identities on the frame tuples where a
+residual term can be nonzero, read off the tables (_candidates).  Both
+identities are the same sum over shuffles of nested brackets, computed by
+one loop (homotopy_residual_on_sections); only the per-term sign differs,
+and each structure class supplies its own (_identity_sign).
 
 Evaluation is C-infinity-multilinear unless an anchor is passed, in which
 case the binary bracket gains the usual directional-derivative corrections;
@@ -19,7 +20,9 @@ anchor in.
 
 The transfer functions convert between the two sides with the suspension
 sign bookkeeping done once in signs.bracket_transfer_sign; converting back
-and forth is the identity on the nose.
+and forth is the identity on the nose.  A transfer negates the entries of
+the keys whose sign is -1, shares every other entry, and does not validate
+the result again.
 """
 
 from __future__ import annotations
@@ -72,6 +75,15 @@ class _BracketFamily:
             tables, bundle, bundle, self.symmetric, bundle.n + 1,
             self._output_degree, "bracket",
         )
+
+    @classmethod
+    def _trusted(cls, bundle, tables):
+        """A family on tables already in the validated format, taken as
+        they are."""
+        out = cls.__new__(cls)
+        out.bundle = bundle
+        out.tables = tables
+        return out
 
     def max_arity(self):
         return max(self.tables, default=0)
@@ -287,14 +299,21 @@ def verify_algebra(struct, r_max=None, anchor=None):
 def _transferred_tables(family):
     """The tables with each entry times the bracket transfer sign of its
     key's magnitudes; magnitudes do not depend on the side, so one table
-    serves both directions."""
-    bundle = family.bundle
+    serves both directions.  Entries whose sign is +1 are shared, and the
+    sign is computed once per magnitude profile."""
+    index = family.bundle.label_index
+    signs = {}
     tables = {}
     for arity, table in family.tables.items():
         out = {}
         for key, targets in table.items():
-            sign = bracket_transfer_sign([bundle.magnitude(lab) for lab in key])
-            out[key] = {lab: poly * sign for lab, poly in targets.items()}
+            mags = tuple([index[lab][0] for lab in key])
+            sign = signs.get(mags)
+            if sign is None:
+                sign = signs[mags] = bracket_transfer_sign(mags)
+            if sign < 0:
+                targets = {lab: -poly for lab, poly in targets.items()}
+            out[key] = targets
         tables[arity] = out
     return tables
 
@@ -302,10 +321,10 @@ def _transferred_tables(family):
 def transfer_to_algebra(anti):
     """Antisymmetric brackets on the shifted side equivalent to the given
     symmetric family; exact inverse of transfer_to_antialgebra."""
-    return AlgebraStructure(anti.bundle.shifted(), _transferred_tables(anti))
+    return AlgebraStructure._trusted(anti.bundle.shifted(), _transferred_tables(anti))
 
 
 def transfer_to_antialgebra(alg):
     """Symmetric brackets on the unshifted side equivalent to the given
     antisymmetric family; exact inverse of transfer_to_algebra."""
-    return AntialgebraStructure(alg.bundle.shifted(), _transferred_tables(alg))
+    return AntialgebraStructure._trusted(alg.bundle.shifted(), _transferred_tables(alg))

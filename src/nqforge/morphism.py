@@ -52,7 +52,7 @@ from .signs import (
 )
 from .superalg import SuperFunction, element_from_values, element_values
 from .linfty import apply_anchor
-from .algebroid import _as_algebroid, _as_antialgebroid, ce_differential
+from .algebroid import ce_differential, to_algebroid
 from .outcome import Outcome, all_of, timed
 
 
@@ -204,17 +204,15 @@ def check_anchor_condition(morph, source, target):
     source frame X and target coordinate g, the source anchor applied to
     the pulled-back g equals the pulled-back target-anchor derivatives of g
     paired with the decomposition of the arity-1 component of X."""
-    src = _as_antialgebroid(source)
-    tgt = _as_antialgebroid(target)
     pull = morph.base_map.pullback
-    tgt_coords = tgt.bundle.base_coordinates
+    tgt_coords = morph.target_bundle.base_coordinates
     for x in morph.source_bundle.labels_by_magnitude.get(1, ()):
         for g in tgt_coords:
             gvar = Polynomial.variable(g, tgt_coords)
-            lhs = apply_anchor(src.anchor, x, pull(gvar))
+            lhs = apply_anchor(source.anchor, x, pull(gvar))
             rhs = Polynomial.zero(morph.source_bundle.base_coordinates)
             for zeta, f in morph.value((x,)).items():
-                rhs = rhs + f * pull(apply_anchor(tgt.anchor, zeta, gvar))
+                rhs = rhs + f * pull(apply_anchor(target.anchor, zeta, gvar))
             if lhs != rhs:
                 return Outcome(False, witness=(x, g, str(lhs - rhs)))
     return Outcome(True)
@@ -333,14 +331,12 @@ def check_bracket_conditions(morph, source, target, t_max=None):
 
     Returns the conjunction of one timed row per arity (see _sweep_rows).
     """
-    src = _as_antialgebroid(source)
-    tgt = _as_antialgebroid(target)
     if t_max is None:
         t_max = morph.n + 1
     elif t_max < 1:
         raise ValueError("t_max must be at least 1, got %r" % (t_max,))
     return _sweep_rows(
-        morph, lambda key: _general_defect(morph, src, tgt, key), t_max
+        morph, lambda key: _general_defect(morph, source, target, key), t_max
     )
 
 
@@ -353,10 +349,8 @@ def check_equivariance(morph, source, target):
     differential, on every target coordinate and dual generator (which
     suffices, both sides being derivations along the morphism)."""
     phi = build_phi(morph)
-    src = _as_antialgebroid(source)
-    tgt = _as_antialgebroid(target)
-    q_src = ce_differential(src)
-    q_tgt = ce_differential(tgt)
+    q_src = ce_differential(source)
+    q_tgt = ce_differential(target)
     tgt_bundle = phi.target_bundle
     for coord in tgt_bundle.base_coordinates:
         image = SuperFunction.from_polynomial(
@@ -397,11 +391,11 @@ def verify_morphism(morph, source, target, t_max=None):
 # ----- the rank-zero-base reduction on the shifted side -----
 
 
-def over_point_defect(morph, source, target, labels):
+def over_point_defect(morph, src_brackets, tgt_brackets, labels):
     """Left side minus right side of the printed shifted-side morphism
     condition at one frame tuple of a rank-zero base, as {target label:
-    coefficient}.  source and target may be given on either side of the
-    degree shift.
+    coefficient}.  src_brackets and tgt_brackets are the shifted-side
+    bracket families of source and target (algebroid.to_algebroid).
 
     Both sides carry the printed per-term weights: the bracket side
     (-1)^(s(r-1)) times the signed Koszul sign of the shuffle, the
@@ -415,9 +409,7 @@ def over_point_defect(morph, source, target, labels):
         morph.target_bundle.base_coordinates
     ):
         raise ValueError("the printed reduction applies over a rank-zero base")
-    src_alg = _as_algebroid(source)
-    tgt_alg = _as_algebroid(target)
-    s_src = src_alg.bundle
+    s_src = src_brackets.bundle
 
     def transfer(canon):
         # components conjugated to the shifted side; the conjugation has the
@@ -439,13 +431,13 @@ def over_point_defect(morph, source, target, labels):
         w = sign_pow(s * (r - 1))
         for perm in shuffles(s, t - s):
             chi = chi_sign(perm, degs)
-            inner = src_alg.brackets.value(tuple(labels[p] for p in perm[:s]))
+            inner = src_brackets.value(tuple(labels[p] for p in perm[:s]))
             rest = tuple(labels[p] for p in perm[s:])
             for lab_i, comp in inner.components.items():
                 for zeta, poly in phi_value((lab_i,) + rest).items():
                     _acc(acc, zeta, poly * comp * (w * chi))
 
-    for blocks, order in _partitions(t, morph.n, tgt_alg.brackets.tables):
+    for blocks, order in _partitions(t, morph.n, tgt_brackets.tables):
         per_block = [
             list(phi_value(tuple(labels[q] for q in b)).items())
             for b in blocks
@@ -461,7 +453,7 @@ def over_point_defect(morph, source, target, labels):
                 coeff = coeff * f
             if coeff.is_zero():
                 continue
-            val = tgt_alg.brackets.value(tuple(z for z, _ in choice))
+            val = tgt_brackets.value(tuple(z for z, _ in choice))
             for lab, c in val.components.items():
                 _acc(acc, lab, -(coeff * c))
 
@@ -471,10 +463,12 @@ def over_point_defect(morph, source, target, labels):
 def check_over_point_reduction(morph, source, target):
     """Sweep the printed shifted-side condition over all frame tuples of
     arity 1..n+1, one timed row per arity as check_bracket_conditions
-    reports them, for comparison with the unshifted condition's verdict."""
-    source = _as_algebroid(source)
-    target = _as_algebroid(target)
+    reports them, for comparison with the unshifted condition's verdict.
+    The shifted-side brackets are transferred once per call."""
+    src_brackets = to_algebroid(source)
+    tgt_brackets = to_algebroid(target)
     return _sweep_rows(
-        morph, lambda key: over_point_defect(morph, source, target, key),
+        morph,
+        lambda key: over_point_defect(morph, src_brackets, tgt_brackets, key),
         morph.n + 1,
     )

@@ -468,14 +468,6 @@ class BaseMap:
         }
         return BaseMap(other.source_coordinates, self.target_coordinates, images)
 
-    def is_identity(self):
-        if self.source_coordinates != self.target_coordinates:
-            return False
-        return all(
-            self.images[name] == Polynomial.variable(name, self.source_coordinates)
-            for name in self.target_coordinates
-        )
-
     def __repr__(self):
         body = ", ".join(
             "%s -> %s" % (name, self.images[name]) for name in self.target_coordinates

@@ -14,17 +14,16 @@ from nqforge.graded import GradedBundle, canonical_tuples, normalize_tuple
 from nqforge.superalg import check_homological
 from nqforge.linfty import (
     apply_anchor,
+    transfer_to_algebra,
+    transfer_to_antialgebra,
     verify_algebra,
     verify_antialgebra,
 )
 from nqforge.algebroid import (
     LieNAntialgebroid,
-    _as_antialgebroid,
     ce_differential,
     de_rham_compare,
     extract_algebroid,
-    to_algebroid,
-    to_antialgebroid,
 )
 from nqforge.coalgebra import (
     Coderivation,
@@ -44,6 +43,7 @@ from nqforge.morphism import (
     verify_morphism,
 )
 from nqforge.signs import bracket_transfer_sign, derived_to_symmetric_sign, sign_pow
+from nqforge.io import structure_from_dict, structure_to_dict
 from nqforge import fixtures
 
 
@@ -101,9 +101,8 @@ def test_criterion_03_derived_brackets_match_tables():
     with _Stopwatch(30) as sw:
         for r in range(1, 5):
             ok = ok and derived_to_symmetric_sign(r) == sign_pow(r)
-        for name, algd in _all_named():
-            anti = to_antialgebroid(algd)
-            ds = DerivedSetup(anti.bundle, ce_differential(algd))
+        for name, anti in _all_named():
+            ds = DerivedSetup(anti.bundle, ce_differential(anti))
             n = anti.bundle.n
             labels = anti.bundle.labels()
             for r in range(1, n + 2):
@@ -128,8 +127,7 @@ def test_criterion_04_identities_equal_coderivation_square():
     ok = True
     genuine_failures = 0
     with _Stopwatch(30) as sw:
-        for name, algd in _all_named():
-            anti = to_antialgebroid(algd)
+        for name, anti in _all_named():
             rep = verify_antialgebra(anti.brackets, anchor=anti.anchor)
             delta = Coderivation(anti.brackets)
             words = basis_words(anti.bundle, anti.bundle.n + 2)
@@ -150,13 +148,19 @@ def test_criterion_05_transfer_equivalence():
     with _Stopwatch(10) as sw:
         names = [n for n, _ in _all_named()]
         ok = ok and "module_point" in names  # the two-term algebra-module pair
-        for name, algd in _all_named():
-            anti = to_antialgebroid(algd)
-            back = to_algebroid(anti)
-            ok = ok and back.brackets.tables == algd.brackets.tables
-            ok = ok and back.anchor == algd.anchor
+        for name, anti in _all_named():
+            # E -> sE -> E on the bracket families
+            alg = transfer_to_algebra(anti.brackets)
+            back = transfer_to_antialgebra(alg)
+            ok = ok and back.tables == anti.brackets.tables
+            # sE -> E -> sE through a shifted-side file
+            data = structure_to_dict(anti, side="sE")
+            read, _ = structure_from_dict(data)
+            ok = ok and read.brackets.tables == anti.brackets.tables
+            ok = ok and read.anchor == anti.anchor
+            ok = ok and structure_to_dict(read, side="sE") == data
             sym = verify_antialgebra(anti.brackets, anchor=anti.anchor)
-            antisym = verify_algebra(algd.brackets, anchor=algd.anchor)
+            antisym = verify_algebra(alg, anchor=anti.anchor)
             ok = ok and sym.ok == antisym.ok
     assert sw.elapsed < 10
     _line(5, "degree shift transfers structures faithfully in both directions",
@@ -169,8 +173,7 @@ def test_criterion_06_anchor_consequences_as_operators():
         # depth >= 2: the anchor annihilates every unary bracket image,
         # checked as the operator f -> sum coeff * rho(image)(f)
         for name in ["two_term", "jacobiator_point", "module_point"]:
-            algd = fixtures.all_structures()[name]
-            anti = to_antialgebroid(algd)
+            anti = fixtures.all_structures()[name]
             coords = anti.bundle.base_coordinates
             for key, targets in anti.brackets.tables.get(1, {}).items():
                 for c in coords:
@@ -180,7 +183,7 @@ def test_criterion_06_anchor_consequences_as_operators():
                         acc = acc + coeff * apply_anchor(anti.anchor, lab, mono)
                     ok = ok and acc.is_zero()
         # the perturbed two-term pair violates exactly this
-        bad = to_antialgebroid(fixtures.two_term_perturbed())
+        bad = fixtures.two_term_perturbed()
         t = Polynomial.variable("t", ("t",))
         viol = Polynomial.zero(("t",))
         for lab, coeff in bad.brackets.tables[1][("b",)].items():
@@ -190,8 +193,7 @@ def test_criterion_06_anchor_consequences_as_operators():
         # depth 1: anchor of the binary bracket equals the commutator of
         # anchors, as operators on the monomial basis of degree <= 2
         for name in ["tangent_plane", "action_line"]:
-            algd = fixtures.all_structures()[name]
-            anti = to_antialgebroid(algd)
+            anti = fixtures.all_structures()[name]
             coords = anti.bundle.base_coordinates
             monos = [Polynomial.constant(1, coords)]
             singles = [Polynomial.variable(c, coords) for c in coords]
@@ -293,11 +295,9 @@ def _relabel(table, mapping, keys=False):
 
 def _general_shape_passes(morph, source, target):
     """Verdict of the general-shape bracket condition over arity 1..n+1."""
-    src = _as_antialgebroid(source)
-    tgt = _as_antialgebroid(target)
     bundle = morph.source_bundle
     return not any(
-        _general_defect(morph, src, tgt, key)
+        _general_defect(morph, source, target, key)
         for t in range(1, morph.n + 2)
         for key in canonical_tuples(bundle.labels(), t)
         if normalize_tuple(key, bundle, symmetric=True)[1] != 0
@@ -330,16 +330,16 @@ def test_criterion_09_over_point_reduction():
             _rand_tables(rng, src_b, range(1, 4), component=True), lab_map
         )
         mor = MorphismData(src_b, tgt_b, BaseMap((), (), {}), comps)
-        src_anti = _as_antialgebroid(src)
-        tgt_anti = _as_antialgebroid(tgt)
+        src_alg = transfer_to_algebra(src.brackets)
+        tgt_alg = transfer_to_algebra(tgt.brackets)
         live = 0
         for t in range(1, 5):
             for key in canonical_tuples(src_b.labels(), t):
                 canon, s = normalize_tuple(key, src_b, symmetric=True)
                 if s == 0 or canon != key:
                     continue
-                gd = _general_defect(mor, src_anti, tgt_anti, key)
-                od = over_point_defect(mor, src, tgt, key)
+                gd = _general_defect(mor, src, tgt, key)
+                od = over_point_defect(mor, src_alg, tgt_alg, key)
                 if not gd and not od:
                     continue
                 live += 1
@@ -373,7 +373,7 @@ def test_criterion_10_coalgebra_laws():
             ok = ok and left_unit == w.terms
             ok = ok and right_unit == w.terms
 
-        anti = to_antialgebroid(fixtures.module_point())
+        anti = fixtures.module_point()
         delta = Coderivation(anti.brackets)
         ok = ok and check_coderivation_law(
             delta, basis_words(anti.bundle, 4)

@@ -8,14 +8,13 @@ from nqforge.graded import GradedBundle
 from nqforge.superalg import Derivation, SuperFunction, evaluate_element
 from nqforge.linfty import apply_anchor
 from nqforge.algebroid import (
-    LieNAlgebroid,
+    LieNAntialgebroid,
     ce_differential,
     check_identities,
     consequence_checks,
     de_rham_compare,
     extract_algebroid,
     residual_linearity,
-    to_antialgebroid,
     verify_algebroid,
 )
 from nqforge import fixtures
@@ -76,7 +75,7 @@ def test_extract_rejects_shifted_bundle():
 
 
 def test_extract_rejects_wrong_degree_field():
-    anti = to_antialgebroid(fixtures.two_term())
+    anti = fixtures.two_term()
     B = anti.bundle
     bad = ce_differential(fixtures.two_term())
     images = dict(bad.images)
@@ -115,7 +114,7 @@ def test_verify_algebroid_r_max_truncates():
 
 
 def test_routes_stopped_below_n_plus_2_are_incomplete():
-    anti = to_antialgebroid(fixtures.action_line())
+    anti = fixtures.action_line()
     # the identity sweep passes at arity 1, so check_identities returns the
     # anchor-compatibility outcome, which carries the sweep's completeness
     for route in (check_identities, residual_linearity):
@@ -149,7 +148,8 @@ def test_linearity_passing_beside_a_failing_square_agrees():
     one = Polynomial.constant(1, coords)
     tables = {2: {("a", "b"): {"a": one}, ("a", "c"): {"a": one},
                   ("b", "c"): {"b": one}}}
-    rows = dict(verify_algebroid(LieNAlgebroid(bundle, tables, {})).detail)
+    anti = LieNAntialgebroid.from_shifted(bundle, tables, {})
+    rows = dict(verify_algebroid(anti).detail)
     assert rows["differential squares to zero"].witness == ("a", "-a*b*c")
     assert rows["frame identities with anchor corrections"].witness == (3, ("a", "b", "c"))
     assert rows["identity residuals are function-linear"].ok
@@ -185,7 +185,7 @@ def test_consequence_witness_is_the_first_failing_row():
 
 def test_residual_linearity_vacuous_over_point():
     for name in ["jacobiator_point", "module_point"]:
-        anti = to_antialgebroid(fixtures.all_structures()[name])
+        anti = fixtures.all_structures()[name]
         out = residual_linearity(anti)
         assert out.ok and out.vacuous, name
         # nothing was left unchecked, so a truncated sweep still passes
@@ -201,9 +201,8 @@ def test_one_form_differential_expands_by_anchor_and_bracket():
     # W = f * (dual of e1); the two-generator part of Q(W), paired with
     # (X1, X2), is rho(X1) W(X2) - rho(X2) W(X1) - W([X1, X2])
     for fixture in [fixtures.action_line, fixtures.tangent_plane]:
-        algd = fixture()
-        anti = to_antialgebroid(algd)
-        q = ce_differential(algd)
+        anti = fixture()
+        q = ce_differential(anti)
         B = q.bundle
         coords = B.base_coordinates
         f = Polynomial.variable("x", coords) ** 2 + Polynomial.constant(2, coords)
@@ -232,7 +231,7 @@ def _tangent_r3_reversed_frames():
     bundle = GradedBundle(coords, {1: ["c", "b", "a"]}, side="sE")
     one = Polynomial.constant(1, coords)
     anchor = {"c": {"x": one}, "b": {"y": one}, "a": {"z": one}}
-    return LieNAlgebroid(bundle, {}, anchor)
+    return LieNAntialgebroid.from_shifted(bundle, {}, anchor)
 
 
 def test_de_rham_routes_agree_exactly():
@@ -270,7 +269,7 @@ def _random_line_bundle_algebroid(rng):
     anchor["a"]["x"] = Polynomial.variable("x", coords) + Polynomial.constant(1, coords)
     anchor = {lab: {c: p for c, p in row.items() if not p.is_zero()}
               for lab, row in anchor.items()}
-    return LieNAlgebroid(bundle, {2: table} if table else {}, anchor)
+    return LieNAntialgebroid.from_shifted(bundle, {2: table} if table else {}, anchor)
 
 
 def test_de_rham_routes_agree_on_random_structures():

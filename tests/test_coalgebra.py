@@ -15,7 +15,6 @@ from nqforge.coalgebra import (
     coproduct,
 )
 from nqforge.superalg import SuperFunction
-from nqforge.algebroid import _as_antialgebroid, to_antialgebroid
 from nqforge.linfty import verify_antialgebra
 from nqforge.morphism import MorphismData
 from nqforge import fixtures
@@ -75,7 +74,7 @@ def test_coassociativity_words_up_to_4():
 
 
 def test_coderivation_law_words_up_to_4():
-    anti = to_antialgebroid(fixtures.module_point())
+    anti = fixtures.module_point()
     delta = Coderivation(anti.brackets)
     words = basis_words(anti.bundle, 4)
     rep = check_coderivation_law(delta, words)
@@ -84,7 +83,7 @@ def test_coderivation_law_words_up_to_4():
 
 def test_coderivation_law_holds_even_for_broken_brackets():
     # being a coderivation is about the coalgebra, not about Jacobi
-    anti = to_antialgebroid(fixtures.module_point_perturbed())
+    anti = fixtures.module_point_perturbed()
     delta = Coderivation(anti.brackets)
     rep = check_coderivation_law(delta, basis_words(anti.bundle, 4))
     assert rep.ok, repr(rep)
@@ -100,8 +99,8 @@ def test_cohomomorphism_law_with_two_slot_component():
 
 
 def test_coderivation_square_detects_validity():
-    good = to_antialgebroid(fixtures.module_point())
-    bad = to_antialgebroid(fixtures.module_point_perturbed())
+    good = fixtures.module_point()
+    bad = fixtures.module_point_perturbed()
     for anti, expect_ok in [(good, True), (bad, False)]:
         delta = Coderivation(anti.brackets)
         ok = True
@@ -116,12 +115,11 @@ def test_coderivation_square_agrees_with_the_identity_sweep_on_families():
     # small members of each benchmark family with their perturbed twins,
     # two of which break the identities
     failing = []
-    for name, struct in STRUCTURES:
+    for name, anti in STRUCTURES:
         if name.split("_perturbed")[0] not in (
             "tangent_r3", "gl2_point", "gl2_action", "inn_gl2"
         ):
             continue
-        anti = _as_antialgebroid(struct)
         rep = verify_antialgebra(anti.brackets, anchor=anti.anchor)
         delta = Coderivation(anti.brackets)
         square_zero = all(

@@ -8,7 +8,7 @@ correspondences as the valid ones.
 from fractions import Fraction
 
 from nqforge.polyring import Polynomial
-from nqforge.algebroid import ce_differential, to_antialgebroid
+from nqforge.algebroid import ce_differential
 from nqforge.derived import DerivedSetup
 from nqforge.graded import GradedBundle, canonical_tuples
 from nqforge.linfty import apply_anchor
@@ -22,9 +22,8 @@ from nqforge.superalg import (
 from nqforge import fixtures
 
 
-def _setup(algd):
-    anti = to_antialgebroid(algd)
-    return anti, DerivedSetup(anti.bundle, ce_differential(algd))
+def _setup(anti):
+    return anti, DerivedSetup(anti.bundle, ce_differential(anti))
 
 
 def _leibniz_defect(ds, sections, slot, poly):

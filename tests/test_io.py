@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nqforge.algebroid import ce_differential, to_antialgebroid
+from nqforge.algebroid import ce_differential
 from nqforge.io import (
     StructureFileError,
     load_any,
@@ -30,13 +30,14 @@ def test_structure_dict_roundtrip_with_field():
 
 
 def test_unshifted_side_roundtrip():
-    anti = to_antialgebroid(fixtures.module_point())
-    data = structure_to_dict(anti)
-    assert data["side"] == "E"
-    back, none_q = structure_from_dict(data)
-    assert none_q is None
-    assert back.brackets.tables == anti.brackets.tables
-    assert back.anchor == anti.anchor
+    anti = fixtures.module_point()
+    for side in ["E", "sE"]:
+        data = structure_to_dict(anti, side=side)
+        assert data["side"] == side
+        back, none_q = structure_from_dict(data)
+        assert none_q is None
+        assert back.brackets.tables == anti.brackets.tables
+        assert back.anchor == anti.anchor
 
 
 def test_file_roundtrip(tmp_path):
@@ -196,3 +197,90 @@ def test_unknown_keys_and_missing_frames_rejected():
         with pytest.raises(StructureFileError) as exc:
             morphism_from_dict(dict(morph, **{block: no_frames}))
         assert "frames" in str(exc.value)
+
+
+# ----- the shifted side is a file format -----
+
+
+def _side_pair():
+    """One structure written on both sides: base x, frames e, c, d of
+    magnitudes 1, 2, 3, anchor e = d/dx, and the bracket c,c -> d, whose
+    transfer sign at magnitudes (2, 2) is -1."""
+    common = {
+        "kind": "structure",
+        "base_coordinates": ["x"],
+        "frames": {"1": ["e"], "2": ["c"], "3": ["d"]},
+        "anchor": {"e": {"x": "1"}},
+    }
+    shifted = dict(common, side="sE", brackets={"2": {"c,c": {"d": "x"}}})
+    unshifted = dict(common, side="E", brackets={"2": {"c,c": {"d": "-x"}}})
+    return shifted, unshifted
+
+
+def _verify_rows(capsys, path):
+    from nqforge.cli import main
+
+    code = main(["verify", str(path), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    for row in report["checks"]:
+        row.pop("seconds")
+    return code, report["checks"]
+
+
+def test_shifted_and_unshifted_files_load_and_verify_alike(tmp_path, capsys):
+    shifted, unshifted = _side_pair()
+    s_struct, _ = structure_from_dict(shifted)
+    e_struct, _ = structure_from_dict(unshifted)
+    assert s_struct.brackets.tables == e_struct.brackets.tables
+    assert s_struct.anchor == e_struct.anchor
+    reports = []
+    for name, data in [("s.json", shifted), ("e.json", unshifted)]:
+        path = tmp_path / name
+        save(str(path), data)
+        reports.append(_verify_rows(capsys, path))
+    assert reports[0] == reports[1]
+    assert any("witness" in row for row in reports[0][1])
+
+
+SHIFTED_INPUT_ERRORS = {
+    "bracket on ('e1', 'e2') targets 'c' of degree -1, expected 0":
+        {"2": {"e1,e2": {"c": "1"}}},
+    "bracket key ('e1', 'e1') vanishes by symmetry":
+        {"2": {"e1,e1": {"e1": "1"}}},
+}
+
+
+@pytest.mark.parametrize("message", sorted(SHIFTED_INPUT_ERRORS))
+def test_bad_shifted_tables_exit_2_with_their_message(tmp_path, capsys, message):
+    from nqforge.cli import main
+
+    path = tmp_path / "bad.json"
+    save(str(path), {
+        "kind": "structure",
+        "side": "sE",
+        "base_coordinates": [],
+        "frames": {"1": ["e1", "e2"], "2": ["c"]},
+        "anchor": {},
+        "brackets": SHIFTED_INPUT_ERRORS[message],
+    })
+    assert main(["verify", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_committed_fixtures_are_the_generated_documents(tmp_path):
+    # scripts/make_fixtures.py regenerates fixtures/ byte for byte
+    import importlib.util
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", root / "scripts" / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    docs = make_fixtures.documents()
+    committed = sorted(p.stem for p in (root / "fixtures").glob("*.json"))
+    assert sorted(docs) == committed and len(committed) == 20
+    for name, data in docs.items():
+        save(str(tmp_path / "doc.json"), data)
+        want = (root / "fixtures" / (name + ".json")).read_bytes()
+        assert (tmp_path / "doc.json").read_bytes() == want, name

@@ -18,7 +18,6 @@ from nqforge.linfty import (
     verify_algebra,
     verify_antialgebra,
 )
-from nqforge.algebroid import _as_antialgebroid, to_algebroid, to_antialgebroid
 from nqforge import fixtures
 from nqforge.outcome import Outcome
 from nqforge.signs import bracket_transfer_sign
@@ -75,7 +74,7 @@ def test_bracket_family_rejects_wrong_output_degree():
 
 
 def test_value_applies_symmetry_sign():
-    anti = to_antialgebroid(fixtures.action_line())
+    anti = fixtures.action_line()
     v = anti.brackets.value(("e2", "e1"))
     w = anti.brackets.value(("e1", "e2"))
     assert v == -w  # both frames odd on the unshifted side
@@ -84,7 +83,7 @@ def test_value_applies_symmetry_sign():
 
 def test_evaluate_anchored_leibniz():
     # [X, f Y] = f [X, Y] + (rho(X) f) Y on degree -1 sections
-    anti = to_antialgebroid(fixtures.action_line())
+    anti = fixtures.action_line()
     bundle = anti.bundle
     coords = bundle.base_coordinates
     f = Polynomial.variable("x", coords) ** 2
@@ -97,7 +96,7 @@ def test_evaluate_anchored_leibniz():
 
 
 def test_evaluate_without_anchor_is_tensorial():
-    anti = to_antialgebroid(fixtures.action_line())
+    anti = fixtures.action_line()
     bundle = anti.bundle
     f = Polynomial.variable("x", bundle.base_coordinates)
     e1 = bundle.frame_section("e1")
@@ -108,8 +107,7 @@ def test_evaluate_without_anchor_is_tensorial():
 
 
 def test_verify_antialgebra_on_fixtures():
-    for name, algd in fixtures.all_structures().items():
-        anti = to_antialgebroid(algd)
+    for name, anti in fixtures.all_structures().items():
         rep = verify_antialgebra(anti.brackets, anchor=anti.anchor)
         assert rep.ok, (name, repr(rep))
 
@@ -117,8 +115,7 @@ def test_verify_antialgebra_on_fixtures():
 def test_verify_antialgebra_flags_broken_jacobi_with_witness():
     # these two perturbations break the bracket identities themselves
     for name in ["jacobiator_point", "module_point"]:
-        algd = fixtures.perturbed_structures()[name]
-        anti = to_antialgebroid(algd)
+        anti = fixtures.perturbed_structures()[name]
         rep = verify_antialgebra(anti.brackets, anchor=anti.anchor)
         assert not rep.ok, name
         assert rep.witness is not None
@@ -131,11 +128,10 @@ def test_anchor_defects_are_invisible_to_the_identity_sweep():
     from nqforge.algebroid import verify_algebroid
 
     for name in ["tangent_plane", "action_line", "two_term"]:
-        algd = fixtures.perturbed_structures()[name]
-        anti = to_antialgebroid(algd)
+        anti = fixtures.perturbed_structures()[name]
         rep = verify_antialgebra(anti.brackets, anchor=anti.anchor)
         assert rep.ok, name
-        full = dict(verify_algebroid(algd).detail)
+        full = dict(verify_algebroid(anti).detail)
         assert not full["differential squares to zero"].ok, name
 
 
@@ -143,32 +139,34 @@ def test_verify_algebra_matches_across_transfer():
     pairs = list(fixtures.all_structures().items()) + list(
         fixtures.perturbed_structures().items()
     )
-    for name, algd in pairs:
-        anti = to_antialgebroid(algd)
+    for name, anti in pairs:
         sym = verify_antialgebra(anti.brackets, anchor=anti.anchor)
-        antisym = verify_algebra(algd.brackets, anchor=algd.anchor)
+        alg = transfer_to_algebra(anti.brackets)
+        antisym = verify_algebra(alg, anchor=anti.anchor)
         assert sym.ok == antisym.ok, name
 
 
 def test_transfer_roundtrip_exact():
-    for name, algd in fixtures.all_structures().items():
-        anti = to_antialgebroid(algd)
-        back = to_algebroid(anti)
-        assert back.brackets.tables == algd.brackets.tables, name
-        assert back.anchor == algd.anchor, name
+    # the transfer skips validation; its output must pass it unchanged
+    for name, anti in fixtures.all_structures().items():
+        alg = transfer_to_algebra(anti.brackets)
+        assert AlgebraStructure(alg.bundle, alg.tables).tables == alg.tables, name
+        back = transfer_to_antialgebra(alg)
+        assert back.bundle.side == "E", name
+        assert back.tables == anti.brackets.tables, name
 
 
 def test_transfer_scales_by_pinned_sign():
-    algd = fixtures.jacobiator_point()
-    anti_brackets = transfer_to_antialgebra(algd.brackets)
+    anti = fixtures.jacobiator_point()
+    alg = transfer_to_algebra(anti.brackets)
     key = ("e1", "e2", "e3")
     sign = bracket_transfer_sign([1, 1, 1])
-    want = algd.brackets.tables[3][key]["m"] * sign
-    assert anti_brackets.tables[3][key]["m"] == want
+    want = anti.brackets.tables[3][key]["m"] * sign
+    assert alg.tables[3][key]["m"] == want
 
 
 def test_residuals_vanish_exactly_on_valid_data():
-    anti = to_antialgebroid(fixtures.module_point())
+    anti = fixtures.module_point()
     labels = anti.bundle.labels()
     for key in [("e1", "e2"), ("e1", "e2", "d"), ("e2", "d")]:
         res = homotopy_residual_symmetric(anti.brackets, key, anti.anchor)
@@ -176,9 +174,9 @@ def test_residuals_vanish_exactly_on_valid_data():
 
 
 def test_antisymmetric_residual_flags_bad_jacobi():
-    algd = fixtures.module_point_perturbed()
+    anti = fixtures.module_point_perturbed()
     bad = homotopy_residual_antisymmetric(
-        algd.brackets, ("e1", "e2", "d"), algd.anchor
+        transfer_to_algebra(anti.brackets), ("e1", "e2", "d"), anti.anchor
     )
     assert not bad.is_zero()
 
@@ -280,10 +278,9 @@ def test_candidate_sweep_matches_the_full_sweep_on_random_tables(draw):
 
 
 @pytest.mark.parametrize(
-    "struct", [s for _, s in STRUCTURES], ids=[n for n, _ in STRUCTURES]
+    "anti", [s for _, s in STRUCTURES], ids=[n for n, _ in STRUCTURES]
 )
-def test_candidate_sweep_matches_the_full_sweep_on_inputs(struct):
-    anti = _as_antialgebroid(struct)
+def test_candidate_sweep_matches_the_full_sweep_on_inputs(anti):
     _assert_sweeps_match_oracle(anti.brackets, anti.anchor)
 
 
@@ -309,7 +306,7 @@ def test_anchor_rule_catches_a_failure_the_bracket_rule_misses():
 
 
 def test_sweep_runs_the_residual_on_candidates_only(monkeypatch):
-    anti = _as_antialgebroid(dict(STRUCTURES)["inn_gl2"])
+    anti = dict(STRUCTURES)["inn_gl2"]
     labels = anti.bundle.labels()
     tuples = sum(len(canonical_tuples(labels, t)) for t in range(1, 5))
     assert tuples == 494

@@ -18,11 +18,9 @@ from nqforge.graded import (
 )
 from nqforge.algebroid import (
     LieNAntialgebroid,
-    _as_antialgebroid,
     ce_differential,
-    to_algebroid,
 )
-from nqforge.linfty import apply_anchor
+from nqforge.linfty import apply_anchor, transfer_to_algebra
 from nqforge.superalg import SuperFunction, element_values
 from nqforge.signs import (
     bracket_transfer_sign,
@@ -58,14 +56,12 @@ def test_fixture_verdicts_and_formulation_agreement():
 def _defect_sweep(defect_fn, morph, source, target):
     """{key: defect} of one bracket-condition shape on every frame tuple
     that check_bracket_conditions sweeps, arity 1..n+1."""
-    src = _as_antialgebroid(source)
-    tgt = _as_antialgebroid(target)
     bundle = morph.source_bundle
     out = {}
     for t in range(1, morph.n + 2):
         for key in canonical_tuples(bundle.labels(), t):
             if normalize_tuple(key, bundle, True)[1] != 0:
-                out[key] = defect_fn(morph, src, tgt, key)
+                out[key] = defect_fn(morph, source, target, key)
     return out
 
 
@@ -73,8 +69,8 @@ def _equivariance_defects(morph, source, target):
     """E(g) = Q_src(phi(g)) - phi(Q_tgt(g)) on every target coordinate and
     dual generator g, as {g: element_values table}."""
     phi = build_phi(morph)
-    q_src = ce_differential(_as_antialgebroid(source))
-    q_tgt = ce_differential(_as_antialgebroid(target))
+    q_src = ce_differential(source)
+    q_tgt = ce_differential(target)
     out = {}
     for coord in phi.target_bundle.base_coordinates:
         image = SuperFunction.from_polynomial(
@@ -90,18 +86,16 @@ def _equivariance_defects(morph, source, target):
 def _anchor_defects(morph, source, target):
     """{(X, g): lhs - rhs} of check_anchor_condition on every degree -1
     source frame X and target coordinate g, in its sweep order."""
-    src = _as_antialgebroid(source)
-    tgt = _as_antialgebroid(target)
     pull = morph.base_map.pullback
-    coords = tgt.bundle.base_coordinates
+    coords = target.bundle.base_coordinates
     out = {}
     for x in morph.source_bundle.labels_by_magnitude.get(1, ()):
         for g in coords:
             gvar = Polynomial.variable(g, coords)
             rhs = Polynomial.zero(morph.source_bundle.base_coordinates)
             for zeta, f in morph.value((x,)).items():
-                rhs = rhs + f * pull(apply_anchor(tgt.anchor, zeta, gvar))
-            out[x, g] = apply_anchor(src.anchor, x, pull(gvar)) - rhs
+                rhs = rhs + f * pull(apply_anchor(target.anchor, zeta, gvar))
+            out[x, g] = apply_anchor(source.anchor, x, pull(gvar)) - rhs
     return out
 
 
@@ -136,7 +130,7 @@ def test_general_shape_sees_the_anchor_row_on_an_identity_base_map():
     # action_line to itself along the identity base map, e1 -> 2 e1 and
     # e2 -> x e2: the anchor condition fails, and the bracket condition's
     # witness keeps the e2 entry of the anchor row
-    src = _as_antialgebroid(fixtures.action_line())
+    src = fixtures.action_line()
     b = src.bundle
     x = Polynomial.variable("x", b.base_coordinates)
     two = Polynomial.constant(2, b.base_coordinates)
@@ -349,15 +343,15 @@ def test_over_point_defect_is_a_signed_transport_of_the_general_one():
         )
         comps = _relabel(_rand_tables(rng, src_b, range(1, 4), component=True), lab_map)
         mor = MorphismData(src_b, tgt_b, BaseMap((), (), {}), comps)
-        src_anti = _as_antialgebroid(src)
-        tgt_anti = _as_antialgebroid(tgt)
+        src_alg = transfer_to_algebra(src.brackets)
+        tgt_alg = transfer_to_algebra(tgt.brackets)
         for t in range(1, 5):
             for key in canonical_tuples(src_b.labels(), t):
                 canon, sign = normalize_tuple(key, src_b, symmetric=True)
                 if sign == 0 or canon != key:
                     continue
-                gd = _general_defect(mor, src_anti, tgt_anti, key)
-                od = over_point_defect(mor, src, tgt, key)
+                gd = _general_defect(mor, src, tgt, key)
+                od = over_point_defect(mor, src_alg, tgt_alg, key)
                 if not gd and not od:
                     continue
                 assert set(gd) == set(od), key
@@ -412,10 +406,11 @@ def _compositions(total, parts):
         yield tuple(bounds[i + 1] - bounds[i] for i in range(parts))
 
 
-def _reference_composition_side(shape, morph, tgt, labels):
+def _reference_composition_side(shape, morph, tgt_brackets, labels):
     """Composition side of one defect shape as printed: ordered
     compositions of the arguments, their shuffles and the 1/r! weight,
-    already negated as it enters the defect."""
+    already negated as it enters the defect.  tgt_brackets is the target
+    bracket family on the side of the shape."""
     bundle = morph.source_bundle
     pull = morph.base_map.pullback
     if shape == "over_point":
@@ -456,7 +451,7 @@ def _reference_composition_side(shape, morph, tgt, labels):
                     coeff = Polynomial.constant(sign * w, bundle.base_coordinates)
                     for _, f in choice:
                         coeff = coeff * f
-                    val = tgt.brackets.value(tuple(z for z, _ in choice))
+                    val = tgt_brackets.value(tuple(z for z, _ in choice))
                     for lab, c in val.components.items():
                         add(lab, -(coeff * pull(c)))
     return out
@@ -467,13 +462,11 @@ def _check_against_reference(morph, source, target):
     (the defect against a bracketless, anchorless target) plus the printed
     composition side, on every canonical tuple of arity 1..n+1.  Returns
     the number of nonzero defects seen."""
-    src = _as_antialgebroid(source)
-    tgt = _as_antialgebroid(target)
-    bare = LieNAntialgebroid(tgt.bundle, {}, {})
-    shapes = {"general": (_general_defect, src, tgt, bare)}
+    bare = LieNAntialgebroid(target.bundle, {}, {})
+    shapes = {"general": (_general_defect, source, target, bare)}
     if not morph.source_bundle.base_coordinates:
         shapes["over_point"] = (over_point_defect,) + tuple(
-            map(to_algebroid, (src, tgt, bare)))
+            transfer_to_algebra(a.brackets) for a in (source, target, bare))
     live = 0
     for t in range(1, morph.n + 2):
         for key in canonical_tuples(morph.source_bundle.labels(), t):
@@ -482,7 +475,8 @@ def _check_against_reference(morph, source, target):
             for shape, (defect, src, tgt, bare) in shapes.items():
                 got = defect(morph, src, tgt, key)
                 rows = defect(morph, src, bare, key)
-                ref = _reference_composition_side(shape, morph, tgt, key)
+                brackets = tgt if shape == "over_point" else tgt.brackets
+                ref = _reference_composition_side(shape, morph, brackets, key)
                 for lab, poly in ref.items():
                     rows[lab] = rows[lab] + poly if lab in rows else poly
                 want = {lab: p for lab, p in rows.items() if not p.is_zero()}

@@ -132,7 +132,6 @@ def test_ring_laws(a, b, c):
 
 def test_base_map_identity_and_pullback():
     ident = BaseMap.identity(XY)
-    assert ident.is_identity()
     p = P("x^2 + y")
     assert ident.pullback(p) == p
 

@@ -18,15 +18,12 @@ import pytest
 
 from nqforge import algebroid, fixtures
 from nqforge import io as structio
-from nqforge.algebroid import (
-    _as_algebroid,
-    _as_antialgebroid,
-    residual_linearity,
-)
+from nqforge.algebroid import residual_linearity
 from nqforge.graded import canonical_tuples, shuffles
 from nqforge.linfty import (
     homotopy_residual_antisymmetric,
     homotopy_residual_symmetric,
+    transfer_to_algebra,
 )
 from nqforge.signs import algebra_identity_sign, chi_sign, koszul_sign
 
@@ -111,27 +108,25 @@ def _same(got, want):
 
 
 @pytest.mark.parametrize(
-    "struct", [s for _, s in STRUCTURES], ids=[n for n, _ in STRUCTURES]
+    "anti", [s for _, s in STRUCTURES], ids=[n for n, _ in STRUCTURES]
 )
-def test_merged_loop_matches_both_oracles(struct):
-    anti = _as_antialgebroid(struct)
-    alg = _as_algebroid(struct)
+def test_merged_loop_matches_both_oracles(anti):
+    alg = transfer_to_algebra(anti.brackets)
     labels = anti.bundle.labels()
     for t in range(1, anti.n + 3):
         for key in canonical_tuples(labels, t):
             got = homotopy_residual_symmetric(anti.brackets, key, anti.anchor)
             want = oracle_symmetric(anti.brackets, key, anti.anchor)
             assert _same(got, want), ("symmetric", key)
-            got = homotopy_residual_antisymmetric(alg.brackets, key, alg.anchor)
-            want = oracle_antisymmetric(alg.brackets, key, alg.anchor)
+            got = homotopy_residual_antisymmetric(alg, key, anti.anchor)
+            want = oracle_antisymmetric(alg, key, anti.anchor)
             assert _same(got, want), ("antisymmetric", key)
 
 
 @pytest.mark.parametrize(
-    "struct", [s for _, s in STRUCTURES], ids=[n for n, _ in STRUCTURES]
+    "anti", [s for _, s in STRUCTURES], ids=[n for n, _ in STRUCTURES]
 )
-def test_linearity_outcome_matches_the_oracle(struct, monkeypatch):
-    anti = _as_antialgebroid(struct)
+def test_linearity_outcome_matches_the_oracle(anti, monkeypatch):
     got = residual_linearity(anti)
 
     def oracle(struct, labels, sections, anchor):
@@ -146,14 +141,13 @@ def test_linearity_outcome_matches_the_oracle(struct, monkeypatch):
 def test_inputs_reach_nonzero_residuals():
     assert len(STRUCTURES) == 18
     total = nonzero = 0
-    for _, struct in STRUCTURES:
-        anti = _as_antialgebroid(struct)
-        alg = _as_algebroid(struct)
+    for _, anti in STRUCTURES:
+        alg = transfer_to_algebra(anti.brackets)
         for t in range(1, anti.n + 3):
             for key in canonical_tuples(anti.bundle.labels(), t):
                 for res in (
                     oracle_symmetric(anti.brackets, key, anti.anchor),
-                    oracle_antisymmetric(alg.brackets, key, alg.anchor),
+                    oracle_antisymmetric(alg, key, anti.anchor),
                 ):
                     total += 1
                     nonzero += not res.is_zero()
